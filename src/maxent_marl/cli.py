@@ -12,7 +12,8 @@ Subcommands:
 Global flags (valid after the subcommand): --seed, --tol, --max-iters,
 --out, --quiet. The default output directory is $MAXENT_MARL_OUT, then
 the current directory. Exit codes: 0 success or converged, 1 invalid
-input, 2 the solver hit its iteration cap, 3 replication mismatch.
+input or a solver error, 2 the solver (or its iterative evaluation) hit
+its iteration cap, 3 replication mismatch.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .baselines import BaselineOptions, baseline_run
 from .game_core import CooperativeMarkovGame, JointPolicy
 from .haspi import (
     HaspiOptions,
+    IterationRecord,
     SolveTrace,
     cyclic_order,
     fixed_order,
@@ -41,7 +43,7 @@ from .haspi import (
 )
 from .mehaml import DRIFTS, NEIGHBORHOODS, mehaml_solve
 from .qre_oracle import qre_fixed_point, qre_residual
-from .soft_dp import evaluate_policy_exact, soft_value
+from .soft_dp import EvaluationNotConverged, evaluate_policy_exact, soft_value
 from .specs import (
     ExperimentSpec,
     GameValidationError,
@@ -52,7 +54,6 @@ from .specs import (
     load_game,
     parse_game,
     resolve_game,
-    trace_csv_lines,
     write_summary_json,
     write_trace_csv,
     atomic_write_text,
@@ -115,6 +116,16 @@ def _haspi_options(spec: ExperimentSpec, alpha: float) -> HaspiOptions:
     )
 
 
+def _exact_final_record(
+    options: HaspiOptions, trace: SolveTrace
+) -> Optional[IterationRecord]:
+    """The trace record of the returned policy, if it holds what
+    :func:`_final_stats` would compute: the same exact evaluation."""
+    if options.record_trace and options.eval_method == "exact":
+        return trace.iterations[-1]
+    return None
+
+
 def _final_stats(
     game: CooperativeMarkovGame, policy: JointPolicy, alpha: Optional[float]
 ) -> tuple[float, float]:
@@ -143,7 +154,18 @@ def run_experiment(
     summary. Results land in ``out_dir`` (or the spec's ``out``, the
     MAXENT_MARL_OUT environment variable, or the working directory).
     """
-    game = resolve_game(spec)
+    record, _lines = _run_on_game(spec, resolve_game(spec), out_dir, write)
+    return record
+
+
+def _run_on_game(
+    spec: ExperimentSpec,
+    game: CooperativeMarkovGame,
+    out_dir: str | Path | None,
+    write: bool,
+) -> tuple[ResultRecord, list[str]]:
+    """:func:`run_experiment` on a resolved game; also returns the written
+    trace CSV lines (none when ``write`` is false)."""
     initial = initial_policy_for(game, spec.initial_policy)
     alpha = spec.alpha
     start = time.perf_counter()
@@ -153,6 +175,7 @@ def run_experiment(
         solve = haspi_solve if spec.solver == "haspi" else masac_solve
         policy, _q, trace = solve(game, initial, options)
         status = trace.status
+        final_record = _exact_final_record(options, trace)
     elif spec.solver == "mehaml":
         drift_cfg = dict(spec.drift or {"name": "trivial"})
         drift_name = drift_cfg.pop("name", "trivial")
@@ -175,6 +198,7 @@ def run_experiment(
             mode=spec.mode or "closed_form",
         )
         status = trace.status
+        final_record = _exact_final_record(options, trace)
     elif spec.solver == "qre-oracle":
         solution = qre_fixed_point(
             game,
@@ -188,6 +212,10 @@ def run_experiment(
         policy = solution.joint_policy
         trace = solution.trace or SolveTrace(iterations=[], status="")
         status = "converged" if solution.converged else "max_iters"
+        # The best iterate is the first one with the smallest residual.
+        final_record = next(
+            (r for r in trace.iterations if r.qre_residual == solution.residual), None
+        )
     else:  # mappo / happo
         options = BaselineOptions(
             algorithm=spec.solver,
@@ -199,14 +227,18 @@ def run_experiment(
         trace = baseline_run(game, initial, options)
         policy = None
         status = trace.status
+        final_record = None
 
     if policy is None:
         from .game_core import joint_policy_from_rows
 
         policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
-    final_return, final_residual = _final_stats(
-        game, policy, None if spec.solver in ("mappo", "happo") else alpha
-    )
+    if final_record is not None:
+        final_return, final_residual = final_record.maxent_return, final_record.qre_residual
+    else:
+        final_return, final_residual = _final_stats(
+            game, policy, None if spec.solver in ("mappo", "happo") else alpha
+        )
     record = ResultRecord(
         name=spec.name,
         solver=spec.solver,
@@ -220,15 +252,16 @@ def run_experiment(
         trace=trace,
         wall_clock_seconds=time.perf_counter() - start,
     )
+    lines: list[str] = []
     if write:
         target = _default_out_dir(str(out_dir) if out_dir else spec.out)
         trace_path = target / f"{spec.name}_trace.csv"
         summary_path = target / f"{spec.name}_summary.json"
-        write_trace_csv(trace_path, trace, game.action_counts)
+        lines = write_trace_csv(trace_path, trace, game.action_counts)
         record.trace_path = str(trace_path)
         record.summary_path = str(summary_path)
         write_summary_json(summary_path, record)
-    return record
+    return record, lines
 
 
 def replicate_appendix_b(
@@ -320,8 +353,9 @@ def sweep_alpha(
             seed=branch_seed,
             name=f"{spec.name}_alpha{alpha:g}",
         )
+        lines: list[str] = []
         try:
-            record = run_experiment(branch, out_dir=target, write=write)
+            record, lines = _run_on_game(branch, game, target, write)
         except Exception as exc:  # isolate per-branch failures
             record = ResultRecord(
                 name=branch.name,
@@ -337,9 +371,12 @@ def sweep_alpha(
                 error=str(exc),
             )
         records.append(record)
-        lines = trace_csv_lines(record.trace, game.action_counts, alpha=alpha)
-        if record.trace.iterations:
-            combined.extend(lines if not combined else lines[1:])
+        if lines and record.trace.iterations:
+            # The branch CSV with an alpha column in front, as trace_csv_lines
+            # writes it when given the temperature.
+            if not combined:
+                combined.append("alpha," + lines[0])
+            combined.extend(f"{float(alpha)!r},{line}" for line in lines[1:])
     if write:
         atomic_write_text(
             target / f"{spec.name}_sweep.csv", "\r\n".join(combined) + "\r\n"
@@ -484,7 +521,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         record = run_experiment(spec, out_dir=args.out)
         _print_record(record, quiet)
         return _status_exit_code(record.status)
-    except (ValueError, OSError) as exc:
+    except EvaluationNotConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -17,7 +17,8 @@ games can be inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,6 +56,7 @@ class CooperativeMarkovGame:
         transition: kernel P(s' | s, a), shape (|S|, prod|A^i|, |S|).
         gamma: discount factor (validated to [0, 1) by validate_game).
         initial_dist: initial state distribution, shape (|S|,).
+        n_joint_actions: prod|A^i|, set at construction.
     """
 
     n_agents: int
@@ -64,6 +66,7 @@ class CooperativeMarkovGame:
     transition: np.ndarray
     gamma: float
     initial_dist: np.ndarray
+    n_joint_actions: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = tuple(int(c) for c in self.action_counts)
@@ -83,7 +86,8 @@ class CooperativeMarkovGame:
             raise ValueError(f"action counts must be positive, got {counts}")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
-        n_joint = int(np.prod(counts))
+        n_joint = math.prod(counts)
+        object.__setattr__(self, "n_joint_actions", n_joint)
         reward = np.ascontiguousarray(np.asarray(self.reward, dtype=np.float64))
         transition = np.ascontiguousarray(np.asarray(self.transition, dtype=np.float64))
         initial = np.ascontiguousarray(np.asarray(self.initial_dist, dtype=np.float64))
@@ -106,10 +110,6 @@ class CooperativeMarkovGame:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "initial_dist", initial)
 
-    @property
-    def n_joint_actions(self) -> int:
-        return int(np.prod(self.action_counts))
-
     def joint_index(self, joint_action: Sequence[int]) -> int:
         """Flat index of a joint action tuple (row-major agent order)."""
         return int(np.ravel_multi_index(tuple(joint_action), self.action_counts))
@@ -123,11 +123,13 @@ class CooperativeMarkovGame:
 class AgentPolicy:
     """One agent's stochastic action table, one row per state.
 
-    Rows must be probability distributions (sum to 1 within 1e-12) and
-    every entry must be at least ``floor``. The floor is a declared
-    lower bound, default 0; deterministic rows are legitimate at floor 0,
-    while Boltzmann-produced rows are strictly positive analytically
-    without needing a positive floor.
+    Rows must be probability distributions (sum to 1 within 1e-12, so a
+    row holding NaN or an infinity is rejected) and every entry must be at
+    least ``floor``. The floor is a declared lower bound, default 0;
+    deterministic rows are legitimate at floor 0, while Boltzmann-produced
+    rows are strictly positive analytically without needing a positive
+    floor. The table is a read-only copy of the input, so the row
+    entropies cached on first use cannot go stale.
     """
 
     agent_id: int
@@ -135,19 +137,19 @@ class AgentPolicy:
     floor: float = 0.0
 
     def __post_init__(self) -> None:
-        table = np.ascontiguousarray(np.asarray(self.table, dtype=np.float64))
+        table = np.array(self.table, dtype=np.float64, order="C")
         if table.ndim != 2:
             raise ValueError(f"policy table must be 2-d, got shape {table.shape}")
         if self.floor < 0:
             raise ValueError("policy floor must be non-negative")
         sums = table.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > _ROW_SUM_TOL)
-        if bad.size:
-            s = int(bad[0])
+        # Written so that a NaN sum fails the test too.
+        if not abs(sums - 1.0).max(initial=0.0) <= _ROW_SUM_TOL:
+            s = int(np.argmin(abs(sums - 1.0) <= _ROW_SUM_TOL))
             raise ValueError(
                 f"agent {self.agent_id} policy row at state {s} sums to {sums[s]!r}"
             )
-        if np.any(table < self.floor - _ROW_SUM_TOL):
+        if table.min(initial=np.inf) < self.floor - _ROW_SUM_TOL:
             raise ValueError(
                 f"agent {self.agent_id} policy has entries below floor {self.floor}"
             )
@@ -163,13 +165,23 @@ class AgentPolicy:
     def n_actions(self) -> int:
         return self.table.shape[1]
 
+    @cached_property
+    def _entropy_rows(self) -> np.ndarray:
+        # 0 * log 0 = 0: non-positive entries become 1, whose term is 0.
+        p = np.where(self.table > 0.0, self.table, 1.0)
+        rows = -(p * np.log(p)).sum(axis=1)
+        rows.flags.writeable = False
+        return rows
+
 
 @dataclass(frozen=True, eq=False)
 class JointPolicy:
     """An ordered tuple of per-agent policies forming a product policy.
 
     The joint probability of a joint action is the product of per-agent
-    probabilities; the factorization is structural, nothing joint is stored.
+    probabilities. The dense joint table and the summed entropy bonus are
+    derived on first use and cached; the agents' tables are read-only, so
+    neither can go stale.
     """
 
     agents: tuple[AgentPolicy, ...]
@@ -194,6 +206,24 @@ class JointPolicy:
     @property
     def n_states(self) -> int:
         return self.agents[0].n_states
+
+    @cached_property
+    def _action_table(self) -> np.ndarray:
+        table = self.agents[0].table
+        for agent in self.agents[1:]:
+            table = table[:, :, None] * agent.table[:, None, :]
+            table = table.reshape(table.shape[0], -1)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def entropy_bonus(self) -> np.ndarray:
+        """sum_i H(pi^i(.|s)) for every state, shape (|S|,), read-only."""
+        total = np.zeros(self.n_states)
+        for agent in self.agents:
+            total += policy_entropy_rows(agent)
+        total.flags.writeable = False
+        return total
 
     def replace(self, policy: AgentPolicy) -> "JointPolicy":
         """A copy with one agent's policy swapped out."""
@@ -293,33 +323,33 @@ def validate_game(game: CooperativeMarkovGame) -> list[str]:
     offending field and index.
     """
     violations: list[str] = []
+
+    def cell(s: int, a: int) -> str:
+        joint = np.unravel_index(int(a), game.action_counts)
+        return f"s={int(s)}, a={tuple(int(x) for x in joint)}"
+
     if not 0.0 <= game.gamma < 1.0:
         violations.append(f"gamma = {game.gamma} is outside [0, 1)")
-    if not np.isfinite(game.reward).all():
-        for s, a in np.argwhere(~np.isfinite(game.reward)):
-            joint = np.unravel_index(int(a), game.action_counts)
-            violations.append(
-                f"reward[s={int(s)}, a={tuple(int(x) for x in joint)}] is not finite"
-            )
+    for s, a in np.argwhere(~np.isfinite(game.reward)):
+        violations.append(f"reward[{cell(s, a)}] is not finite")
+    finite = np.isfinite(game.transition)
+    for s, a, t in np.argwhere(~finite):
+        violations.append(f"transition[{cell(s, a)}] to s'={int(t)} is not finite")
     row_sums = game.transition.sum(axis=2)
-    for s, a in np.argwhere(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
-        joint = np.unravel_index(int(a), game.action_counts)
-        violations.append(
-            f"transition[s={int(s)}, a={tuple(int(x) for x in joint)}] "
-            f"sums to {row_sums[s, a]!r}"
-        )
-    neg_rows = (game.transition < 0).any(axis=2)
-    for s, a in np.argwhere(neg_rows):
-        joint = np.unravel_index(int(a), game.action_counts)
-        violations.append(
-            f"transition[s={int(s)}, a={tuple(int(x) for x in joint)}] "
-            "has negative entries"
-        )
-    total = game.initial_dist.sum()
-    if abs(total - 1.0) > _ROW_SUM_TOL:
+    off = finite.all(axis=2) & (np.abs(row_sums - 1.0) > _ROW_SUM_TOL)
+    for s, a in np.argwhere(off):
+        violations.append(f"transition[{cell(s, a)}] sums to {row_sums[s, a]!r}")
+    for s, a in np.argwhere((game.transition < 0).any(axis=2)):
+        violations.append(f"transition[{cell(s, a)}] has negative entries")
+    initial = game.initial_dist
+    initial_finite = np.isfinite(initial)
+    for (s,) in np.argwhere(~initial_finite):
+        violations.append(f"initial_dist[{int(s)}] is not finite")
+    total = initial.sum()
+    if initial_finite.all() and abs(total - 1.0) > _ROW_SUM_TOL:
         violations.append(f"initial_dist sums to {total!r}")
-    if (game.initial_dist < 0).any():
-        s = int(np.argwhere(game.initial_dist < 0)[0])
+    if (initial < 0).any():
+        s = int(np.flatnonzero(initial < 0)[0])
         violations.append(f"initial_dist[{s}] is negative")
     return violations
 
@@ -331,11 +361,11 @@ def policy_entropy(policy: AgentPolicy, s: int) -> float:
 
 
 def policy_entropy_rows(policy: AgentPolicy) -> np.ndarray:
-    """Entropy of every state's row at once, shape (|S|,)."""
-    table = policy.table
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(table > 0.0, table * np.log(table), 0.0)
-    return -terms.sum(axis=1)
+    """Entropy of every state's row at once, shape (|S|,), read-only.
+
+    Computed on the policy's first call and cached on it.
+    """
+    return policy._entropy_rows
 
 
 def _entropy(row: np.ndarray) -> float:
@@ -355,12 +385,11 @@ def joint_action_prob(
 
 
 def joint_action_table(joint_policy: JointPolicy) -> np.ndarray:
-    """Dense product distribution over flattened joint actions, (|S|, prod|A^i|)."""
-    table = joint_policy.agents[0].table
-    for agent in joint_policy.agents[1:]:
-        table = table[:, :, None] * agent.table[:, None, :]
-        table = table.reshape(table.shape[0], -1)
-    return table
+    """Dense product distribution over flattened joint actions, (|S|, prod|A^i|).
+
+    Read-only; computed on the joint policy's first call and cached on it.
+    """
+    return joint_policy._action_table
 
 
 def uniform_joint_policy(game: CooperativeMarkovGame) -> JointPolicy:
@@ -373,7 +402,7 @@ def uniform_joint_policy(game: CooperativeMarkovGame) -> JointPolicy:
 
 def joint_policy_from_rows(rows: Sequence[np.ndarray]) -> JointPolicy:
     """Build a joint policy from one (|S|, |A^i|) table per agent."""
-    agents = tuple(AgentPolicy(i, np.asarray(t, dtype=np.float64)) for i, t in enumerate(rows))
+    agents = tuple(AgentPolicy(i, t) for i, t in enumerate(rows))
     return JointPolicy(agents)
 
 

@@ -35,9 +35,10 @@ from .game_core import (
 from .qre_oracle import boltzmann_rows, qre_residual
 from .soft_dp import (
     SoftQTable,
+    _check_conditional,
+    _conditional_q,
     evaluate_policy_exact,
     evaluate_policy_iterative,
-    multiagent_soft_q,
     soft_value,
 )
 
@@ -184,8 +185,8 @@ def expected_conditional_q(
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     if agent in prefix_ids:
         raise ValueError(f"agent {agent} already appears in the updated prefix")
-    maq = multiagent_soft_q(game, joint_policy_old, q_old, prefix_ids + (agent,), alpha)
-    values = maq.values
+    prefix = _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
+    values = _conditional_q(game, joint_policy_old, q_old.values, prefix, alpha)
     for policy in updated_prefix:
         values = np.einsum("sa...,sa->s...", values, policy.table)
     return values

@@ -30,6 +30,8 @@ from .game_core import (
 )
 from .soft_dp import (
     SoftQTable,
+    _check_conditional,
+    _conditional_q,
     evaluate_policy_exact,
     maxent_return,
     multiagent_soft_q,
@@ -92,8 +94,9 @@ def _logit_rows(
     alpha: float,
     q: SoftQTable,
 ) -> list[np.ndarray]:
+    _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
     return [
-        boltzmann_rows(multiagent_soft_q(game, joint_policy, q, (i,), alpha).values, alpha)
+        boltzmann_rows(_conditional_q(game, joint_policy, q.values, (i,), alpha), alpha)
         for i in range(game.n_agents)
     ]
 

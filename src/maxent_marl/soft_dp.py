@@ -21,6 +21,7 @@ is V. Differences of two such tables give the soft advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -143,12 +144,16 @@ def _check_policy(game: CooperativeMarkovGame, joint_policy: JointPolicy) -> Non
             )
 
 
-def _entropy_bonus(joint_policy: JointPolicy) -> np.ndarray:
-    """sum_i H(pi^i(.|s)) for every state, shape (|S|,)."""
-    total = np.zeros(joint_policy.n_states)
-    for agent in joint_policy.agents:
-        total += policy_entropy_rows(agent)
-    return total
+def _policy_value(
+    joint: np.ndarray, q_values: np.ndarray, bonus: np.ndarray, alpha: float
+) -> np.ndarray:
+    """V(s) from the joint table, the soft Q values and the entropy bonus."""
+    return np.einsum("sa,sa->s", joint, q_values) + alpha * bonus
+
+
+def _backup(game: CooperativeMarkovGame, v: np.ndarray) -> np.ndarray:
+    """r(s, a) + gamma * E_{s'~P}[V(s')]."""
+    return game.reward + game.gamma * (game.transition @ v)
 
 
 def soft_value(
@@ -160,8 +165,9 @@ def soft_value(
     """V(s) = E_{a~pi}[Q(s,a)] + alpha * sum_i H(pi^i(.|s))."""
     _check_shapes(game, q)
     _check_policy(game, joint_policy)
-    joint = joint_action_table(joint_policy)
-    values = np.einsum("sa,sa->s", joint, q.values) + alpha * _entropy_bonus(joint_policy)
+    values = _policy_value(
+        joint_action_table(joint_policy), q.values, joint_policy.entropy_bonus, alpha
+    )
     return SoftValueTable(alpha, values)
 
 
@@ -177,8 +183,7 @@ def soft_bellman_backup(
     from the given table and policy.
     """
     v = soft_value(game, joint_policy, q, alpha)
-    values = game.reward + game.gamma * (game.transition @ v.values)
-    return SoftQTable(alpha, values)
+    return SoftQTable(alpha, _backup(game, v.values))
 
 
 def evaluate_policy_iterative(
@@ -226,29 +231,81 @@ def evaluate_policy_exact(
     M(s, s') = sum_a pi(a|s) P(s'|s,a), rbar the policy-averaged reward
     and h the per-state entropy bonus; Q then follows from one backup.
     The system is solved by dense LU factorization with partial pivoting
-    and the result is checked against the backup operator to 1e-9.
+    and the result is checked against the backup operator to 1e-9; the
+    check reuses the joint table and entropy bonus of the solve.
     """
     if game.gamma >= 1.0:
         raise ValueError("exact evaluation requires gamma < 1")
     _check_policy(game, joint_policy)
     joint = joint_action_table(joint_policy)
     rbar = np.einsum("sa,sa->s", joint, game.reward)
-    h = _entropy_bonus(joint_policy)
+    h = joint_policy.entropy_bonus
     m = np.einsum("sa,sat->st", joint, game.transition)
     lhs = np.eye(game.n_states) - game.gamma * m
     try:
         v = np.linalg.solve(lhs, rbar + alpha * h)
     except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
         raise RuntimeError(f"evaluation system is singular: {exc}") from exc
-    q = SoftQTable(alpha, game.reward + game.gamma * (game.transition @ v))
-    residual = float(
-        np.abs(soft_bellman_backup(game, joint_policy, q, alpha).values - q.values).max()
-    )
+    q_values = _backup(game, v)
+    backup = _backup(game, _policy_value(joint, q_values, h, alpha))
+    residual = float(np.abs(backup - q_values).max())
     if residual > _EXACT_RESIDUAL_TOL:
         raise RuntimeError(
             f"exact evaluation residual {residual:.3e} exceeds {_EXACT_RESIDUAL_TOL}"
         )
-    return q
+    return SoftQTable(alpha, q_values)
+
+
+def _check_conditional(
+    game: CooperativeMarkovGame,
+    joint_policy: JointPolicy,
+    q: SoftQTable,
+    prefix: Sequence[int],
+) -> tuple[int, ...]:
+    """Validate the arguments of a conditional; returns the prefix as a tuple."""
+    _check_shapes(game, q)
+    _check_policy(game, joint_policy)
+    prefix = tuple(int(i) for i in prefix)
+    if len(set(prefix)) != len(prefix):
+        raise ValueError(f"prefix {prefix} contains a duplicate agent")
+    if any(i < 0 or i >= game.n_agents for i in prefix):
+        raise ValueError(f"prefix {prefix} is out of range for {game.n_agents} agents")
+    if game.n_agents > len(_AXIS_LETTERS):
+        raise ValueError("dense conditionals support at most 11 agents")
+    return prefix
+
+
+@lru_cache(maxsize=4096)
+def _conditional_plan(n_agents: int, prefix: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The einsum subscripts and the complement agents of one prefix."""
+    complement = tuple(i for i in range(n_agents) if i not in prefix)
+    inputs = ["s" + _AXIS_LETTERS[:n_agents]] + ["s" + _AXIS_LETTERS[i] for i in complement]
+    out = "s" + "".join(_AXIS_LETTERS[i] for i in prefix)
+    return ",".join(inputs) + "->" + out, complement
+
+
+def _conditional_q(
+    game: CooperativeMarkovGame,
+    joint_policy: JointPolicy,
+    q_values: np.ndarray,
+    prefix: tuple[int, ...],
+    alpha: float,
+) -> np.ndarray:
+    """The values of :func:`multiagent_soft_q` for checked arguments."""
+    subscripts, complement = _conditional_plan(game.n_agents, prefix)
+    tensor = q_values.reshape(game.n_states, *game.action_counts)
+    values = np.einsum(
+        subscripts, tensor, *(joint_policy.agents[i].table for i in complement)
+    )
+    if complement:
+        bonus = np.zeros(game.n_states)
+        for i in complement:
+            bonus += policy_entropy_rows(joint_policy.agents[i])
+        values = values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
+    # With the full prefix the einsum result is a transposed view. Callers
+    # average over its axes, and in that memory order the sums would round
+    # differently, so hand back the C layout.
+    return np.ascontiguousarray(values)
 
 
 def multiagent_soft_q(
@@ -266,30 +323,10 @@ def multiagent_soft_q(
     The expectation runs over the complement agents under the given
     policy; their entropy enters as a state-dependent constant.
     """
-    _check_shapes(game, q)
-    _check_policy(game, joint_policy)
-    prefix = tuple(int(i) for i in prefix)
-    if len(set(prefix)) != len(prefix):
-        raise ValueError(f"prefix {prefix} contains a duplicate agent")
-    if any(i < 0 or i >= game.n_agents for i in prefix):
-        raise ValueError(f"prefix {prefix} is out of range for {game.n_agents} agents")
-    if game.n_agents > len(_AXIS_LETTERS):
-        raise ValueError("dense conditionals support at most 11 agents")
-    complement = [i for i in range(game.n_agents) if i not in prefix]
-    tensor = q.values.reshape(game.n_states, *game.action_counts)
-    subscripts = ["s" + _AXIS_LETTERS[: game.n_agents]]
-    operands: list[np.ndarray] = [tensor]
-    for i in complement:
-        subscripts.append("s" + _AXIS_LETTERS[i])
-        operands.append(joint_policy.agents[i].table)
-    out = "s" + "".join(_AXIS_LETTERS[i] for i in prefix)
-    values = np.einsum(",".join(subscripts) + "->" + out, *operands)
-    if complement:
-        bonus = np.zeros(game.n_states)
-        for i in complement:
-            bonus += policy_entropy_rows(joint_policy.agents[i])
-        values = values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
-    return MultiAgentSoftQ(alpha, prefix, values)
+    prefix = _check_conditional(game, joint_policy, q, prefix)
+    return MultiAgentSoftQ(
+        alpha, prefix, _conditional_q(game, joint_policy, q.values, prefix, alpha)
+    )
 
 
 def multiagent_soft_advantage(

@@ -116,9 +116,9 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
         if key not in data:
             raise ValueError(f"game field {key!r} is required")
     states = data.get("states", 1)
-    n_states = len(states) if isinstance(states, list) else int(states)
-    n_agents = int(data["n_agents"])
-    counts = tuple(int(c) for c in data["action_counts"])
+    n_states = len(states) if isinstance(states, list) else _integer("states", states)
+    n_agents = _integer("n_agents", data["n_agents"])
+    counts = tuple(_integer("action_counts", c) for c in data["action_counts"])
     n_joint = int(np.prod(counts))
 
     reward = np.asarray(data["reward"], dtype=np.float64)
@@ -153,8 +153,21 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
     )
 
 
+def _integer(key: str, value: Any) -> int:
+    """An integer game field; NaN and the infinities are named and rejected."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"game field {key!r} must be an integer, got {value!r}") from exc
+
+
 def load_game(path: str | Path) -> CooperativeMarkovGame:
-    """Parse and validate a game file; raises with every violation listed."""
+    """Parse and validate a game file; raises with every violation listed.
+
+    The JSON literals NaN, Infinity and -Infinity parse to floats and are
+    rejected by name: in a tensor by :func:`validate_game`, in gamma by the
+    game itself, in a count by the parser.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -402,9 +415,11 @@ def write_trace_csv(
     trace: SolveTrace,
     action_counts: Sequence[int],
     alpha: Optional[float] = None,
-) -> None:
+) -> list[str]:
+    """Write the trace CSV atomically; returns its lines."""
     lines = trace_csv_lines(trace, action_counts, alpha)
     atomic_write_text(path, "\r\n".join(lines) + "\r\n")
+    return lines
 
 
 def write_summary_json(path: str | Path, record: ResultRecord) -> None:

@@ -16,6 +16,7 @@ from maxent_marl import (
     save_game,
     sweep_alpha,
 )
+from maxent_marl import cli, specs
 from maxent_marl.cli import (
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
@@ -23,6 +24,8 @@ from maxent_marl.cli import (
     main,
     replicate_appendix_b,
 )
+from maxent_marl.game_core import joint_policy_from_rows
+from maxent_marl.soft_dp import EvaluationNotConverged
 from maxent_marl.specs import bundled_game_path, parse_experiment
 from conftest import MATRIX
 
@@ -86,6 +89,46 @@ class TestGameFiles:
         )
         with pytest.raises(ValueError, match="shorthand"):
             load_game(mixed)
+
+    def test_nan_transition_named_by_validate(self, tmp_path, capsys):
+        transition = random_game(42, 2, 2, [2, 2], -1, 1, 0.9).transition.copy()
+        transition[0, 1, 1] = np.nan
+        game = random_game(42, 2, 2, [2, 2], -1, 1, 0.9)
+        broken = type(game)(2, 2, (2, 2), game.reward, transition, 0.9, game.initial_dist)
+        path = tmp_path / "nan.game"
+        save_game(broken, path)
+        assert "NaN" in path.read_text()
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert "transition[s=0, a=(0, 1)] to s'=1 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected_by_name(self, tmp_path, literal):
+        base = {
+            "n_agents": 2,
+            "states": 1,
+            "action_counts": [2, 2],
+            "gamma": 0.0,
+            "reward": [[[0.0, 1.0], [1.0, 0.0]]],
+        }
+        cases = {
+            "initial_dist": ({**base, "initial_dist": ["@"]}, "initial_dist[0] is not finite"),
+            "reward": (
+                {**base, "reward": [[[0.0, "@"], [1.0, 0.0]]]},
+                "reward[s=0, a=(0, 1)] is not finite",
+            ),
+            "transition": (
+                {**base, "transition": [[[[1.0], ["@"]], [[1.0], [1.0]]]]},
+                "transition[s=0, a=(0, 1)] to s'=0 is not finite",
+            ),
+            "gamma": ({**base, "gamma": "@"}, "gamma"),
+            "count": ({**base, "n_agents": "@"}, "game field 'n_agents' must be an integer"),
+        }
+        for name, (payload, message) in cases.items():
+            path = tmp_path / f"{name}.game"
+            path.write_text(json.dumps(payload).replace('"@"', literal))
+            with pytest.raises(ValueError) as info:
+                load_game(path)
+            assert message in str(info.value), name
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.game"
@@ -195,6 +238,51 @@ class TestRunExperiment:
         assert record.status == "converged"
         assert record.final_qre_residual <= 1e-6
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"solver": "haspi"},
+            {"solver": "haspi", "eval": "iterative"},
+            {"solver": "haspi", "record_trace": False},
+            {"solver": "masac"},
+            {"solver": "mehaml", "drift": {"name": "kl", "beta": 1.0}, "max_iters": 100000},
+            {"solver": "mehaml", "mode": "line_search",
+             "neighborhood": {"name": "kl_ball", "radius": 0.1}},
+            {"solver": "qre-oracle"},
+            {"solver": "qre-oracle", "max_iters": 3},
+            {"solver": "qre-oracle", "record_trace": False},
+            {"solver": "mappo", "iterations": 20},
+            {"solver": "happo", "iterations": 20},
+        ],
+    )
+    def test_final_stats_equal_reevaluation(self, extra):
+        # The final return and residual read off the trace are the values a
+        # fresh evaluation of the returned policy gives, to the last bit.
+        game = random_game(42, 2, 3, [2, 3], -1, 1, 0.9)
+        payload = {
+            "game": {
+                "n_agents": 2,
+                "states": 3,
+                "action_counts": [2, 3],
+                "gamma": 0.9,
+                "initial_dist": game.initial_dist.tolist(),
+                "reward": game.reward.reshape(3, 2, 3).tolist(),
+                "transition": game.transition.reshape(3, 2, 3, 3).tolist(),
+            },
+            **extra,
+        }
+        baseline = extra["solver"] in ("mappo", "happo")
+        if baseline:  # scoped to matrix games
+            game = new_matrix_game(MATRIX)
+            payload["game"] = MATRIX_GAME_JSON
+            payload["initial_policy"] = [[0.6, 0.2, 0.2], [0.6, 0.2, 0.2]]
+        else:
+            payload["alpha"] = 1.0
+        record = run_experiment(parse_experiment(payload), write=False)
+        policy = joint_policy_from_rows(record.final_policy)
+        expected = cli._final_stats(game, policy, None if baseline else 1.0)
+        assert repr((record.final_return, record.final_qre_residual)) == repr(expected)
+
     def test_game_by_path(self, tmp_path):
         game_path = write_json(tmp_path / "g.game", MATRIX_GAME_JSON)
         spec_path = write_json(
@@ -253,6 +341,38 @@ class TestSweep:
         )
         assert main(["sweep-alpha", capped, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
 
+    def test_combined_csv_is_branch_rows_with_alpha(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load_game(path):
+            loads.append(path)
+            return load_game(path)
+
+        monkeypatch.setattr(specs, "load_game", counting_load_game)
+        write_json(tmp_path / "g.game", MATRIX_GAME_JSON)
+        alphas = [1.0, 10.0, 0.5]
+        spec_path = write_json(
+            tmp_path / "sw.json",
+            {
+                "solver": "haspi",
+                "game": "g.game",
+                "alphas": alphas,
+                "initial_policy": [[0.6, 0.2, 0.2], [0.6, 0.2, 0.2]],
+            },
+        )
+        records = sweep_alpha(load_experiment(spec_path), out_dir=tmp_path)
+        assert len(loads) == 1
+        assert [r.status for r in records] == ["converged"] * 3
+        expected = []
+        for alpha in alphas:
+            branch = (tmp_path / f"sw_alpha{alpha:g}_trace.csv").read_bytes().split(b"\r\n")
+            assert branch[-1] == b""
+            if not expected:
+                expected.append(b"alpha," + branch[0])
+            expected += [repr(alpha).encode() + b"," + row for row in branch[1:-1]]
+        combined = (tmp_path / "sw_sweep.csv").read_bytes()
+        assert combined == b"\r\n".join(expected) + b"\r\n"
+
     def test_singleton_sweep_matches_run(self, tmp_path):
         base = {
             "solver": "haspi",
@@ -283,6 +403,28 @@ class TestCliInterface:
         spec_path = write_json(tmp_path / "run.json", {**HASPI_SPEC, "max_iters": 1})
         code = main(["solve", spec_path, "--out", str(tmp_path), "--quiet"])
         assert code == EXIT_NOT_CONVERGED
+
+    def test_evaluation_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        def capped(*args, **kwargs):
+            raise EvaluationNotConverged(100_000, 3e-3)
+
+        monkeypatch.setattr(cli, "haspi_solve", capped)
+        spec_path = write_json(tmp_path / "run.json", {**HASPI_SPEC, "eval": "iterative"})
+        assert main(["solve", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err.startswith("error: evaluation did not converge")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solver_runtime_error_exit_code(self, tmp_path, capsys):
+        # Finite rewards so large that the Boltzmann logits overflow.
+        spec_path = write_json(
+            tmp_path / "run.json",
+            {"solver": "haspi", "game": {"matrix": [[1e308, 1e308], [1e308, 1e308]]},
+             "alpha": 0.001},
+        )
+        assert main(["solve", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: Boltzmann update produced a non-finite row\n"
+        )
 
     def test_validate_ok_and_violations(self, tmp_path, capsys):
         good = write_json(tmp_path / "good.game", MATRIX_GAME_JSON)

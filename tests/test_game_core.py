@@ -19,6 +19,7 @@ from maxent_marl import (
     uniform_joint_policy,
     validate_game,
 )
+from maxent_marl.game_core import policy_entropy_rows
 from conftest import MATRIX
 
 
@@ -124,6 +125,21 @@ class TestValidateGame:
         )
         assert any("reward" in v for v in validate_game(broken))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_and_initial_named(self, value):
+        game = random_game(3, 2, 2, [2, 2], -1, 1, 0.9)
+        transition = game.transition.copy()
+        transition[1, 2, 0] = value
+        initial = game.initial_dist.copy()
+        initial[1] = value
+        broken = CooperativeMarkovGame(
+            2, 2, (2, 2), game.reward, transition, 0.9, initial
+        )
+        violations = validate_game(broken)
+        assert "transition[s=1, a=(1, 0)] to s'=0 is not finite" in violations
+        assert "initial_dist[1] is not finite" in violations
+        assert not any("sums to" in v for v in violations)
+
 
 class TestPolicies:
     def test_row_must_normalize(self):
@@ -133,6 +149,11 @@ class TestPolicies:
     def test_floor_enforced(self):
         with pytest.raises(ValueError, match="floor"):
             AgentPolicy(0, np.array([[0.9, 0.1, 0.0]]), floor=0.05)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, value):
+        with pytest.raises(ValueError, match="row at state 1 sums to"):
+            AgentPolicy(0, np.array([[0.5, 0.5], [value, 0.5]]))
 
     def test_deterministic_row_ok_at_zero_floor(self):
         pol = AgentPolicy(0, np.array([[1.0, 0.0, 0.0]]))
@@ -215,3 +236,52 @@ class TestImmutability:
         pol = uniform_joint_policy(new_matrix_game(np.eye(2))).agents[0]
         with pytest.raises(ValueError):
             pol.table[0, 0] = 0.9
+
+    def test_caller_array_is_copied(self):
+        # Writing into the constructor's input must not reach the table or
+        # the values cached from it, and the input stays writeable.
+        rows = [np.array([[0.6, 0.4], [0.1, 0.9]]), np.array([[0.3, 0.7], [0.5, 0.5]])]
+        jp = joint_policy_from_rows(rows)
+        single = AgentPolicy(0, rows[0])
+
+        def snapshot():
+            arrays = [joint_action_table(jp)]
+            for policy in (*jp.agents, single):
+                arrays += [policy.table, policy_entropy_rows(policy)]
+            return [a.tobytes() for a in arrays]
+
+        before = snapshot()
+        for arr in rows:
+            assert arr.flags.writeable
+            arr[:] = [[1.0, 0.0], [0.0, 1.0]]
+        assert snapshot() == before
+
+    def test_cached_values_read_only(self, start_policy):
+        for arr in (
+            joint_action_table(start_policy),
+            policy_entropy_rows(start_policy.agents[0]),
+            start_policy.entropy_bonus,
+        ):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_cached_values_match_fresh_computation(self):
+        game = random_game(5, 3, 3, [2, 3, 2], -1, 1, 0.5)
+        rng = np.random.default_rng(5)
+        rows = [rng.dirichlet(np.ones(c), size=3) for c in game.action_counts]
+        jp = joint_policy_from_rows(rows)
+        table = rows[0]
+        for other in rows[1:]:
+            table = (table[:, :, None] * other[:, None, :]).reshape(3, -1)
+        assert joint_action_table(jp).tobytes() == table.tobytes()
+        assert joint_action_table(jp) is joint_action_table(jp)
+        bonus = np.zeros(3)
+        for r in rows:
+            bonus += -(r * np.log(r)).sum(axis=1)
+        assert jp.entropy_bonus.tobytes() == bonus.tobytes()
+
+    def test_n_joint_actions_is_product(self):
+        for counts in ([2], [3, 2], [2, 3, 4], [5, 5, 5, 5]):
+            game = random_game(0, len(counts), 2, counts, -1, 1, 0.5)
+            assert game.n_joint_actions == math.prod(counts)
+            assert type(game.n_joint_actions) is int

@@ -1,5 +1,6 @@
 """Soft dynamic programming: backups, evaluation, conditionals, advantages."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from maxent_marl import (
     soft_value,
     uniform_joint_policy,
 )
-from maxent_marl.soft_dp import zero_soft_q
+from maxent_marl.haspi import expected_conditional_q
+from maxent_marl.soft_dp import _conditional_q, zero_soft_q
 from conftest import random_start, suite_game, suite_params
 
 H_START = -(0.6 * math.log(0.6) + 2 * 0.2 * math.log(0.2))
@@ -217,6 +219,38 @@ class TestMultiAgentSoftQ:
         q = SoftQTable(0.0, matrix_game.reward)
         with pytest.raises(ValueError, match="duplicate"):
             multiagent_soft_q(matrix_game, start_policy, q, (0, 0), 0.0)
+
+    def test_internal_conditional_is_byte_identical(self):
+        # Every ordered prefix of a 3-agent game, the full prefixes included,
+        # whose einsum result is a transposed view before the C-layout copy.
+        game = suite_game(7, 3, 3, (2, 3, 4), 0.9)
+        jp = random_start(game, 7)
+        q = evaluate_policy_exact(game, jp, 0.5)
+        prefixes = [
+            p for m in range(4) for p in itertools.permutations(range(3), m)
+        ]
+        assert len(prefixes) == 16
+        for prefix in prefixes:
+            public = multiagent_soft_q(game, jp, q, prefix, 0.5).values
+            internal = _conditional_q(game, jp, q.values, prefix, 0.5)
+            assert internal.flags.c_contiguous
+            assert internal.shape == public.shape
+            assert internal.tobytes() == public.tobytes()
+
+    def test_expected_conditional_q_is_the_public_chain(self):
+        game = suite_game(7, 3, 3, (2, 3, 4), 0.9)
+        jp = random_start(game, 7)
+        q = evaluate_policy_exact(game, jp, 0.5)
+        for order in itertools.permutations(range(3)):
+            updated = []
+            for agent in order:
+                prefix = tuple(p.agent_id for p in updated) + (agent,)
+                expected = multiagent_soft_q(game, jp, q, prefix, 0.5).values
+                for policy in updated:
+                    expected = np.einsum("sa...,sa->s...", expected, policy.table)
+                got = expected_conditional_q(game, q, jp, updated, agent, 0.5)
+                assert got.tobytes() == expected.tobytes()
+                updated.append(jp.agents[agent])
 
 
 class TestAdvantage:
