@@ -57,6 +57,7 @@ class CooperativeMarkovGame:
         gamma: discount factor (validated to [0, 1) by validate_game).
         initial_dist: initial state distribution, shape (|S|,).
         n_joint_actions: prod|A^i|, set at construction.
+        transition_norm: max_{s,a} sum_{s'} |P(s'|s,a)|, cached on first use.
     """
 
     n_agents: int
@@ -109,6 +110,15 @@ class CooperativeMarkovGame:
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "initial_dist", initial)
+
+    @cached_property
+    def transition_norm(self) -> float:
+        """The induced sup-norm of P: its largest absolute row sum over (s, a).
+
+        NaN if any entry is NaN. Computed on first use and cached; the
+        kernel is read-only, so it cannot go stale.
+        """
+        return float(np.abs(self.transition).sum(axis=2).max())
 
     def joint_index(self, joint_action: Sequence[int]) -> int:
         """Flat index of a joint action tuple (row-major agent order)."""

@@ -20,6 +20,7 @@ policies instead of conditioning on the updated prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -111,10 +112,11 @@ def cyclic_order() -> PermutationRule:
 class HaspiOptions:
     """Knobs for the outer solve loop.
 
-    alpha must be strictly positive: the zero-temperature greedy limit is
-    ill-defined under ties, so cold runs use small positive temperatures
-    instead. ``eval_method`` picks the exact linear solve or fixed-point
-    iteration at tolerance ``tol_eval`` for the evaluation half-step.
+    alpha must be finite and strictly positive: the zero-temperature
+    greedy limit is ill-defined under ties, so cold runs use small positive
+    temperatures instead. ``eval_method`` picks the exact linear solve or
+    fixed-point iteration at tolerance ``tol_eval`` for the evaluation
+    half-step.
     """
 
     alpha: float
@@ -126,12 +128,13 @@ class HaspiOptions:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        # Written so that NaN fails the tests too.
+        if not 0 < self.alpha < math.inf:
             raise ValueError(
-                f"temperature must be strictly positive, got {self.alpha}"
+                f"temperature must be finite and strictly positive, got {self.alpha}"
             )
-        if self.tol_policy <= 0 or self.tol_eval <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_policy < math.inf and 0 < self.tol_eval < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.eval_method not in ("exact", "iterative"):
             raise ValueError(f"unknown eval_method {self.eval_method!r}")
         if self.max_outer_iters < 1:

@@ -23,6 +23,7 @@ feasible and never decreases the per-state mirror value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Optional, Sequence
 
@@ -109,8 +110,9 @@ class KlDrift(DriftFunctional):
     name = "kl"
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError(f"KL drift coefficient must be >= 0, got {self.beta}")
+        # Written so that NaN fails the test too.
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"KL drift coefficient must be finite and >= 0, got {self.beta}")
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
         p = np.asarray(candidate_row, dtype=np.float64)
@@ -154,8 +156,8 @@ class KlBall(NeighborhoodOperator):
     name = "kl_ball"
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"KL ball radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"KL ball radius must be finite and positive, got {self.radius}")
 
     def contains(self, current_row, candidate_row):
         p = np.asarray(candidate_row, dtype=np.float64)

@@ -20,6 +20,7 @@ summary and is excluded from the determinism contract.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -153,12 +154,12 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
     )
 
 
-def _integer(key: str, value: Any) -> int:
-    """An integer game field; NaN and the infinities are named and rejected."""
+def _integer(key: str, value: Any, kind: str = "game") -> int:
+    """An integer field; NaN and the infinities are named and rejected."""
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"game field {key!r} must be an integer, got {value!r}") from exc
+        raise ValueError(f"{kind} field {key!r} must be an integer, got {value!r}") from exc
 
 
 def load_game(path: str | Path) -> CooperativeMarkovGame:
@@ -228,7 +229,12 @@ class ExperimentSpec:
 
 
 def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -> ExperimentSpec:
-    """Validate an experiment dict: solver-specific keys only, no unknowns."""
+    """Validate an experiment dict: solver-specific keys only, no unknowns.
+
+    Numeric fields must be finite: NaN and the infinities (the JSON
+    literals NaN, Infinity and -Infinity) are rejected by field name, as
+    is an integer field that does not convert to an integer.
+    """
     if not isinstance(data, dict):
         raise ValueError("experiment description must be an object")
     solver = data.get("solver")
@@ -247,10 +253,14 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
     alphas = data.get("alphas")
     if needs_alpha and alpha is None and alphas is None:
         raise ValueError(f"solver {solver!r} requires 'alpha' (or 'alphas')")
-    if alpha is not None and float(alpha) <= 0:
-        raise ValueError("alpha must be strictly positive")
+    if alpha is not None:
+        alpha = _finite("alpha", alpha)
+        if alpha <= 0:
+            raise ValueError("alpha must be strictly positive")
     if alphas is not None:
-        alphas = tuple(float(a) for a in alphas)
+        if not isinstance(alphas, (list, tuple)):
+            raise ValueError(f"experiment field 'alphas' must be a list, got {alphas!r}")
+        alphas = tuple(_finite(f"alphas[{k}]", a) for k, a in enumerate(alphas))
         if not alphas:
             raise ValueError("'alphas' must be a non-empty list")
         if any(a <= 0 for a in alphas):
@@ -259,14 +269,14 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         solver=solver,
         game=data["game"],
         name=str(data.get("name", "experiment")),
-        alpha=None if alpha is None else float(alpha),
+        alpha=alpha,
         alphas=alphas,
-        seed=int(data.get("seed", 0)),
+        seed=_integer("seed", data.get("seed", 0), "experiment"),
         initial_policy=data.get("initial_policy", "uniform"),
         tol_policy=_opt_float(data, "tol_policy"),
         tol_eval=_opt_float(data, "tol_eval"),
         eval_method=data.get("eval"),
-        max_iters=None if "max_iters" not in data else int(data["max_iters"]),
+        max_iters=_opt_integer(data, "max_iters"),
         permutation=data.get("permutation"),
         drift=data.get("drift"),
         neighborhood=data.get("neighborhood"),
@@ -274,15 +284,30 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         damping=_opt_float(data, "damping"),
         update_mode=data.get("update_mode"),
         step_size=_opt_float(data, "step_size"),
-        iterations=None if "iterations" not in data else int(data["iterations"]),
+        iterations=_opt_integer(data, "iterations"),
         out=data.get("out"),
         record_trace=bool(data.get("record_trace", True)),
         base_dir=None if base_dir is None else str(base_dir),
     )
 
 
+def _finite(key: str, value: Any) -> float:
+    """A real experiment field; NaN and the infinities are named and rejected."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"experiment field {key!r} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"experiment field {key!r} must be finite, got {value!r}")
+    return number
+
+
 def _opt_float(data: dict[str, Any], key: str) -> Optional[float]:
-    return None if key not in data else float(data[key])
+    return None if key not in data else _finite(key, data[key])
+
+
+def _opt_integer(data: dict[str, Any], key: str) -> Optional[int]:
+    return None if key not in data else _integer(key, data[key], "experiment")
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:

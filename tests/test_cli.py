@@ -426,6 +426,38 @@ class TestCliInterface:
             "error: Boltzmann update produced a non-finite row\n"
         )
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({**HASPI_SPEC, "alpha": float("nan")}, "'alpha' must be finite"),
+            ({**HASPI_SPEC, "alpha": float("inf")}, "'alpha' must be finite"),
+            ({**HASPI_SPEC, "alpha": None, "alphas": [1.0, float("nan")]},
+             "'alphas[1]' must be finite"),
+            ({**HASPI_SPEC, "tol_policy": float("nan")}, "'tol_policy' must be finite"),
+            ({**HASPI_SPEC, "tol_eval": float("-inf")}, "'tol_eval' must be finite"),
+            ({"solver": "qre-oracle", "game": MATRIX_GAME_JSON, "alpha": 1.0,
+              "damping": float("nan")}, "'damping' must be finite"),
+            ({"solver": "happo", "game": MATRIX_GAME_JSON, "update_mode": "mirror",
+              "step_size": float("inf")}, "'step_size' must be finite"),
+            ({**HASPI_SPEC, "max_iters": float("inf")}, "'max_iters' must be an integer"),
+            ({**HASPI_SPEC, "seed": float("nan")}, "'seed' must be an integer"),
+            ({"solver": "happo", "game": MATRIX_GAME_JSON, "iterations": float("inf")},
+             "'iterations' must be an integer"),
+            ({**HASPI_SPEC, "alpha": None, "alphas": 5.0}, "'alphas' must be a list"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"name": "kl", "beta": float("nan")}},
+             "KL drift coefficient must be finite"),
+            ({**HASPI_SPEC, "solver": "mehaml",
+              "neighborhood": {"name": "kl_ball", "radius": float("nan")}},
+             "KL ball radius must be finite"),
+        ],
+    )
+    def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
+        spec = {k: v for k, v in spec.items() if v is not None}
+        path = write_json(tmp_path / "run.json", spec)
+        assert main(["solve", path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_validate_ok_and_violations(self, tmp_path, capsys):
         good = write_json(tmp_path / "good.game", MATRIX_GAME_JSON)
         assert main(["validate", good]) == EXIT_OK

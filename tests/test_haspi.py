@@ -231,6 +231,14 @@ class TestHaspiSolve:
         with pytest.raises(ValueError, match="tolerance"):
             HaspiOptions(alpha=1.0, tol_policy=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_options_reject_non_finite(self, value):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            HaspiOptions(alpha=value)
+        for key in ("tol_policy", "tol_eval"):
+            with pytest.raises(ValueError, match="tolerances must be finite"):
+                HaspiOptions(alpha=1.0, **{key: value})
+
 
 class TestMasacSolve:
     def test_preserves_distribution_rows(self, matrix_game, start_policy):

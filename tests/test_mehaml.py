@@ -65,6 +65,13 @@ class TestKlDrift:
         with pytest.raises(ValueError):
             kl_drift(-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(ValueError, match="KL drift coefficient must be finite"):
+            kl_drift(value)
+        with pytest.raises(ValueError, match="KL ball radius must be finite"):
+            kl_ball(value)
+
 
 class TestMehamoEval:
     def test_trivial_drift_at_current_policy(self, matrix_game, start_policy):

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxent_marl import (
+    CooperativeMarkovGame,
     EvaluationNotConverged,
     Permutation,
     SoftQTable,
@@ -23,8 +26,15 @@ from maxent_marl import (
     soft_value,
     uniform_joint_policy,
 )
+from maxent_marl import soft_dp
 from maxent_marl.haspi import expected_conditional_q
-from maxent_marl.soft_dp import _conditional_q, zero_soft_q
+from maxent_marl.soft_dp import (
+    _AXIS_LETTERS,
+    _PAIRWISE_MIN_JOINT_ACTIONS,
+    _conditional_plan,
+    _conditional_q,
+    zero_soft_q,
+)
 from conftest import random_start, suite_game, suite_params
 
 H_START = -(0.6 * math.log(0.6) + 2 * 0.2 * math.log(0.2))
@@ -251,6 +261,196 @@ class TestMultiAgentSoftQ:
                 got = expected_conditional_q(game, q, jp, updated, agent, 0.5)
                 assert got.tobytes() == expected.tobytes()
                 updated.append(jp.agents[agent])
+
+
+def one_shot_conditional(game, jp, q_values, prefix, alpha):
+    """The conditional by one einsum over the tensor and every complement table."""
+    n = game.n_agents
+    complement = [i for i in range(n) if i not in prefix]
+    subscripts = (
+        ",".join(["s" + _AXIS_LETTERS[:n]] + ["s" + _AXIS_LETTERS[i] for i in complement])
+        + "->s" + "".join(_AXIS_LETTERS[i] for i in prefix)
+    )
+    tensor = q_values.reshape(game.n_states, *game.action_counts)
+    values = np.einsum(subscripts, tensor, *(jp.agents[i].table for i in complement))
+    bonus = sum((jp.agents[i]._entropy_rows for i in complement), np.zeros(game.n_states))
+    return values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
+
+
+def all_prefixes(n_agents):
+    return [p for m in range(n_agents + 1) for p in itertools.permutations(range(n_agents), m)]
+
+
+def is_one_shot(counts, prefix):
+    steps, complement = _conditional_plan(counts, prefix)
+    return len(steps) == 1 and steps[0][1] == complement
+
+
+def greedy_order(counts, prefix):
+    """The complement agents in the order np.einsum_path's greedy search contracts them."""
+    n = len(counts)
+    complement = [i for i in range(n) if i not in prefix]
+    terms = ["s" + _AXIS_LETTERS[:n]] + ["s" + _AXIS_LETTERS[i] for i in complement]
+    subscripts = ",".join(terms) + "->s" + "".join(_AXIS_LETTERS[i] for i in prefix)
+    operands = [np.empty((2, *counts))] + [np.empty((2, counts[i])) for i in complement]
+    path, _ = np.einsum_path(subscripts, *operands, optimize="greedy")
+    order = []
+    for contracted in path[1:]:
+        picked = [terms[p] for p in contracted]
+        # Each greedy step pairs the running tensor with one table.
+        tables = [t for t in picked if len(t) == 2]
+        assert len(tables) == 1 and len(picked) == 2
+        order.append(_AXIS_LETTERS.index(tables[0][1]))
+        terms = [t for p, t in enumerate(terms) if p not in contracted] + ["*"]
+    return order
+
+
+class TestConditionalPlan:
+    def test_planned_path_agrees_with_one_shot(self):
+        game = random_game(11, 4, 2, (4, 4, 4, 4), -1.0, 1.0, 0.9)
+        assert game.n_joint_actions >= _PAIRWISE_MIN_JOINT_ACTIONS
+        jp = random_start(game, 11)
+        q = evaluate_policy_exact(game, jp, 0.5)
+        scale = np.abs(q.values).max()
+        prefixes = all_prefixes(4)
+        assert len(prefixes) == 65
+        for prefix in prefixes:
+            got = _conditional_q(game, jp, q.values, prefix, 0.5)
+            expected = one_shot_conditional(game, jp, q.values, prefix, 0.5)
+            assert got.flags.c_contiguous
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+            public = multiagent_soft_q(game, jp, q, prefix, 0.5).values
+            assert got.tobytes() == public.tobytes()
+
+    def test_selection_follows_the_joint_action_count(self):
+        small = {counts for _, _, _, counts, _, _ in suite_params(100)}
+        small |= {(3, 3, 3), (3, 3)}  # the cli-files game and Appendix B
+        for counts in small:
+            assert all(is_one_shot(counts, p) for p in all_prefixes(len(counts)))
+        # A suite plan is the einsum the conditionals have always made.
+        assert _conditional_plan((2, 3, 4), (2,)) == ((("sabc,sa,sb->sc", (0, 1)),), (0, 1))
+        for counts in ((5,) * 5, (5,) * 6, (4,) * 4, (3, 4, 5, 2, 3)):
+            for prefix in ((), (0,), (2, 1), (3, 0)):
+                steps, complement = _conditional_plan(counts, prefix)
+                assert len(steps) == len(complement) >= 2
+                assert all(len(agents) == 1 for _, agents in steps)
+                order = [agents[0] for _, agents in steps]
+                assert order == greedy_order(counts, prefix)
+
+    def test_plans_are_keyed_by_action_counts(self):
+        rng = np.random.default_rng(3)
+        _conditional_plan.cache_clear()
+        for counts in ((4, 4, 4, 4), (2, 5, 3, 6)):
+            game = random_game(12, 4, 2, counts, -1.0, 1.0, 0.9)
+            jp = joint_policy_from_rows([rng.dirichlet(np.ones(c), size=2) for c in counts])
+            q = evaluate_policy_exact(game, jp, 0.5)
+            got = _conditional_q(game, jp, q.values, (1,), 0.5)
+            expected = one_shot_conditional(game, jp, q.values, (1,), 0.5)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(q.values).max()
+        assert _conditional_plan.cache_info().misses == 2
+        assert _conditional_plan.cache_info().hits == 0
+
+
+def exact_values(game, jp, alpha):
+    """The linear system of the exact evaluation and its solution."""
+    joint = joint_action_table(jp)
+    lhs = np.eye(game.n_states) - game.gamma * np.einsum("sa,sat->st", joint, game.transition)
+    rhs = (joint * game.reward).sum(axis=1) + alpha * jp.entropy_bonus
+    return lhs, rhs, np.linalg.solve(lhs, rhs)
+
+
+@st.composite
+def kernels(draw):
+    """Small games whose rows may be rescaled by up to 2x or hold negative entries."""
+    n_agents = draw(st.integers(1, 3))
+    counts = tuple(draw(st.integers(1, 3)) for _ in range(n_agents))
+    n_states = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_states, math.prod(counts), n_states)
+    low = -1.0 if draw(st.booleans()) else 0.0
+    transition = rng.uniform(low, 1.0, size=shape)
+    transition /= np.abs(transition).sum(axis=2, keepdims=True)
+    if draw(st.booleans()):
+        transition *= rng.uniform(0.0, 2.0, size=shape[:2] + (1,))
+    game = CooperativeMarkovGame(
+        n_agents, n_states, counts, rng.uniform(-1.0, 1.0, size=shape[:2]), transition,
+        draw(st.floats(0.0, 0.45)), np.full(n_states, 1.0 / n_states),
+    )
+    jp = joint_policy_from_rows([rng.dirichlet(np.ones(c), size=n_states) for c in counts])
+    perturbation = draw(st.sampled_from([0.0, 1e-12, 1e-9, 3e-9, 1e-8, 1e-6, 1e-3]))
+    return game, jp, draw(st.floats(0.1, 5.0)), perturbation * rng.uniform(-1.0, 1.0, n_states)
+
+
+def backup_residual(game, jp, v, alpha):
+    """max |G(Q) - Q| for the Q that one backup makes of v: the old check."""
+    q = SoftQTable(alpha, game.reward + game.gamma * (game.transition @ v))
+    return np.abs(soft_bellman_backup(game, jp, q, alpha).values - q.values).max()
+
+
+class TestExactEvaluationCheck:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(kernels())
+    def test_bound_covers_the_backup_residual(self, case):
+        # G(Q) - Q = -gamma P e for any v, so the bound holds off the
+        # solution too; the perturbation makes both sides non-trivial.
+        game, jp, alpha, dv = case
+        lhs, rhs, v = exact_values(game, jp, alpha)
+        residual = backup_residual(game, jp, v + dv, alpha)
+        norm = np.abs(game.transition).sum(axis=2).max()
+        assert game.transition_norm == norm
+        bound = game.gamma * norm * np.abs(lhs @ (v + dv) - rhs).max()
+        assert bound >= residual - 1e-12
+        # Whatever the check accepts, the old check would have accepted.
+        solve = np.linalg.solve
+        with mock.patch.object(soft_dp.np.linalg, "solve", lambda a, b: solve(a, b) + dv):
+            try:
+                evaluate_policy_exact(game, jp, alpha)
+            except RuntimeError:
+                return
+        assert residual <= 1e-9
+
+    def test_bound_uses_the_kernel_norm(self, monkeypatch):
+        # Rows summing to 2 and a constant shift c of v make the bound
+        # tight: e = 0.2c, and G(Q) - Q = -gamma P e = -0.16c everywhere.
+        game = suite_game(5, 2, 3, (2, 3), 0.4)
+        doubled = CooperativeMarkovGame(
+            2, 3, (2, 3), game.reward, 2.0 * game.transition, 0.4, game.initial_dist
+        )
+        jp = random_start(game, 5)
+        assert doubled.transition_norm == pytest.approx(2.0, abs=1e-12)
+        _, _, v = exact_values(doubled, jp, 1.0)
+        assert backup_residual(doubled, jp, v + 1e-8, 1.0) == pytest.approx(1.6e-9, rel=1e-3)
+        solve = np.linalg.solve
+        monkeypatch.setattr(soft_dp.np.linalg, "solve", lambda a, b: solve(a, b) + 1e-8)
+        with pytest.raises(RuntimeError, match="exact evaluation residual 1.6"):
+            evaluate_policy_exact(doubled, jp, 1.0)
+
+    def test_perturbed_solve_is_rejected(self, monkeypatch):
+        game = suite_game(5, 3, 4, (2, 3, 4), 0.9)
+        jp = random_start(game, 5)
+        evaluate_policy_exact(game, jp, 1.0)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            return solve(a, b) + 1e-6
+
+        monkeypatch.setattr(soft_dp.np.linalg, "solve", perturbed)
+        with pytest.raises(RuntimeError, match=r"exact evaluation residual .* exceeds 1e-09"):
+            evaluate_policy_exact(game, jp, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_transition_raises(self):
+        game = suite_game(6, 2, 2, (2, 2), 0.9)
+        transition = game.transition.copy()
+        transition[0, 3, 1] = np.nan
+        broken = CooperativeMarkovGame(
+            2, 2, (2, 2), game.reward, transition, 0.9, game.initial_dist
+        )
+        # Neither agent ever plays action 1, so the NaN row has probability 0.
+        jp = joint_policy_from_rows([np.array([[1.0, 0.0], [1.0, 0.0]])] * 2)
+        with pytest.raises(RuntimeError, match="residual nan"):
+            evaluate_policy_exact(broken, jp, 1.0)
 
 
 class TestAdvantage:
