@@ -13,7 +13,8 @@ Global flags (valid after the subcommand): --seed, --tol, --max-iters,
 --out, --quiet. The default output directory is $MAXENT_MARL_OUT, then
 the current directory. Exit codes: 0 success or converged, 1 invalid
 input or a solver error, 2 the solver (or its iterative evaluation) hit
-its iteration cap, 3 replication mismatch.
+its iteration cap, or the oracle stopped at a cycle, 3 replication
+mismatch.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _permutation_rule(spec: ExperimentSpec):
         return random_order(spec.seed)
     if spec.permutation == "cyclic":
         return cyclic_order()
-    return fixed_order(tuple(int(i) for i in spec.permutation))
+    return fixed_order(spec.permutation)
 
 
 def _haspi_options(spec: ExperimentSpec, alpha: float) -> HaspiOptions:
@@ -178,15 +179,9 @@ def _run_on_game(
         final_record = _exact_final_record(options, trace)
     elif spec.solver == "mehaml":
         drift_cfg = dict(spec.drift or {"name": "trivial"})
-        drift_name = drift_cfg.pop("name", "trivial")
-        if drift_name not in DRIFTS:
-            raise ValueError(f"unknown drift {drift_name!r}")
-        drift = DRIFTS[drift_name](**drift_cfg)
+        drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
         hood_cfg = dict(spec.neighborhood or {"name": "full"})
-        hood_name = hood_cfg.pop("name", "full")
-        if hood_name not in NEIGHBORHOODS:
-            raise ValueError(f"unknown neighborhood {hood_name!r}")
-        neighborhood = NEIGHBORHOODS[hood_name](**hood_cfg)
+        neighborhood = NEIGHBORHOODS[hood_cfg.pop("name")](**hood_cfg)
         options = _haspi_options(spec, alpha)
         policy, trace = mehaml_solve(
             game,
@@ -211,7 +206,7 @@ def _run_on_game(
         )
         policy = solution.joint_policy
         trace = solution.trace or SolveTrace(iterations=[], status="")
-        status = "converged" if solution.converged else "max_iters"
+        status = solution.status
         # The best iterate is the first one with the smallest residual.
         final_record = next(
             (r for r in trace.iterations if r.qre_residual == solution.residual), None

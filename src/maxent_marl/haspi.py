@@ -164,7 +164,7 @@ class SolveTrace:
     """Per-iteration records plus the final status."""
 
     iterations: list[IterationRecord]
-    status: str  # "converged" | "max_iters"
+    status: str  # "converged" | "max_iters"; the QRE oracle also "cycle"
 
     @property
     def returns(self) -> list[float]:

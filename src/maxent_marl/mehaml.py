@@ -176,14 +176,15 @@ def full_neighborhood() -> FullNeighborhood:
     return FullNeighborhood()
 
 
+# Spec names to constructors; each takes exactly its own options as keywords.
 DRIFTS: dict[str, Callable[..., DriftFunctional]] = {
-    "trivial": lambda **kw: TrivialDrift(),
-    "kl": lambda beta=1.0, **kw: KlDrift(beta),
+    "trivial": trivial_drift,
+    "kl": lambda beta=1.0: KlDrift(beta),
 }
 
 NEIGHBORHOODS: dict[str, Callable[..., NeighborhoodOperator]] = {
-    "full": lambda **kw: FullNeighborhood(),
-    "kl_ball": lambda radius=0.1, **kw: KlBall(radius),
+    "full": full_neighborhood,
+    "kl_ball": lambda radius=0.1: KlBall(radius),
 }
 
 

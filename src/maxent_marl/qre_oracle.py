@@ -17,6 +17,7 @@ deviation check on a simplex grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +28,8 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     joint_action_table,
+    sup_policy_distance,
+    uniform_joint_policy,
 )
 from .soft_dp import (
     SoftQTable,
@@ -51,6 +54,16 @@ __all__ = [
 ]
 
 _MAX_GRID_ACTIONS = 4
+
+# The damped iteration stops as a cycle of period p when, on CYCLE_REPEATS * p
+# consecutive iterations that set no new best residual, each iterate returns
+# to the one p steps back relative to its own step:
+# ||pi_k - pi_{k-p}|| <= CYCLE_RTOL * ||pi_k - pi_{k-1}||. A run nearing its
+# fixed point repeats at every lag only about as closely as it steps (the
+# ratio stays of order one), so the test is relative, not a multiple of tol.
+CYCLE_PERIODS = (2, 3, 4)
+CYCLE_RTOL = 1e-6
+CYCLE_REPEATS = 3
 
 
 def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
@@ -121,14 +134,22 @@ def qre_residual(
 
 @dataclass(frozen=True, eq=False)
 class QreSolution:
-    """Result of the damped logit iteration."""
+    """Result of the damped logit iteration.
+
+    ``status`` says why it stopped: "converged" (residual below the
+    tolerance), "cycle" (an exact cycle of period 2-4) or "max_iters".
+    """
 
     joint_policy: JointPolicy
     residual: float
     iterations: int
     damping: float
-    converged: bool
+    status: str
     trace: Optional[object] = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def qre_fixed_point(
@@ -147,12 +168,13 @@ def qre_fixed_point(
 
         pi <- (1 - damping) * pi + damping * response.
 
-    Returns the best iterate seen (smallest residual); ``converged`` is
-    False when the residual never dropped below ``tol``, in which case
-    the caller decides what to do with the reported residual.
+    Returns the best iterate seen (smallest residual). The run stops when
+    the residual drops below ``tol`` (status "converged"), when the
+    iterates repeat with a period in ``CYCLE_PERIODS`` (status "cycle",
+    see ``CYCLE_RTOL``), or after ``max_iters`` iterations; ``converged``
+    is False in the last two cases, and the caller decides what to do with
+    the reported residual.
     """
-    from .game_core import uniform_joint_policy
-
     if alpha <= 0:
         raise ValueError(f"temperature must be positive, got {alpha}")
     if not 0.0 < damping <= 1.0:
@@ -164,6 +186,11 @@ def qre_fixed_point(
     best_residual = np.inf
     records = [] if record_trace else None
     iterations = 0
+    status = "max_iters"
+    recent = deque(maxlen=CYCLE_PERIODS[-1] + 1)  # pi_{k-4}, ..., pi_k
+    no_streaks = (0,) * len(CYCLE_PERIODS)  # consecutive repeats per period
+    streaks = no_streaks
+    step = np.inf  # ||pi_k - pi_{k-1}|| = damping * previous residual
     for k in range(max_iters):
         q = evaluate_policy_exact(game, jp, alpha)
         responses = _logit_rows(game, jp, alpha, q)
@@ -186,11 +213,26 @@ def qre_fixed_point(
                     policies=tuple(a.table.copy() for a in jp.agents),
                 )
             )
+        iterations = k + 1
+        recent.append(jp)
         if residual < best_residual:
             best_jp, best_residual = jp, residual
-        iterations = k + 1
+            streaks = no_streaks
+        else:
+            # Only a run that has stopped improving can be cycling.
+            streaks = tuple(
+                n + 1
+                if p < len(recent) and sup_policy_distance(jp, recent[-1 - p]) <= CYCLE_RTOL * step
+                else 0
+                for p, n in zip(CYCLE_PERIODS, streaks)
+            )
+            if any(n >= CYCLE_REPEATS * p for p, n in zip(CYCLE_PERIODS, streaks)):
+                status = "cycle"
+                break
         if residual < tol:
+            status = "converged"
             break
+        step = damping * residual
         mixed = [
             AgentPolicy(i, (1.0 - damping) * jp.agents[i].table + damping * rows)
             for i, rows in enumerate(responses)
@@ -200,16 +242,13 @@ def qre_fixed_point(
     if records is not None:
         from .haspi import SolveTrace
 
-        trace = SolveTrace(
-            iterations=records,
-            status="converged" if best_residual < tol else "max_iters",
-        )
+        trace = SolveTrace(iterations=records, status=status)
     return QreSolution(
         joint_policy=best_jp,
         residual=best_residual,
         iterations=iterations,
         damping=damping,
-        converged=bool(best_residual < tol),
+        status=status,
         trace=trace,
     )
 

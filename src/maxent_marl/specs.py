@@ -19,13 +19,14 @@ summary and is excluded from the determinism contract.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .game_core import (
     validate_game,
 )
 from .haspi import SolveTrace
+from .mehaml import DRIFTS, NEIGHBORHOODS
 
 __all__ = [
     "GameValidationError",
@@ -233,7 +235,9 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
 
     Numeric fields must be finite: NaN and the infinities (the JSON
     literals NaN, Infinity and -Infinity) are rejected by field name, as
-    is an integer field that does not convert to an integer.
+    is an integer field that does not convert to an integer. So is a
+    ``permutation``, ``drift`` or ``neighborhood`` of the wrong type, or
+    a drift or neighborhood option that its constructor does not take.
     """
     if not isinstance(data, dict):
         raise ValueError("experiment description must be an object")
@@ -277,9 +281,9 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         tol_eval=_opt_float(data, "tol_eval"),
         eval_method=data.get("eval"),
         max_iters=_opt_integer(data, "max_iters"),
-        permutation=data.get("permutation"),
-        drift=data.get("drift"),
-        neighborhood=data.get("neighborhood"),
+        permutation=_permutation(data.get("permutation"), solver),
+        drift=_named_option("drift", data.get("drift"), DRIFTS),
+        neighborhood=_named_option("neighborhood", data.get("neighborhood"), NEIGHBORHOODS),
         mode=data.get("mode"),
         damping=_opt_float(data, "damping"),
         update_mode=data.get("update_mode"),
@@ -308,6 +312,51 @@ def _opt_float(data: dict[str, Any], key: str) -> Optional[float]:
 
 def _opt_integer(data: dict[str, Any], key: str) -> Optional[int]:
     return None if key not in data else _integer(key, data[key], "experiment")
+
+
+def _permutation(value: Any, solver: str) -> Any:
+    """A fixed order as a tuple of agent indices; the soft solvers also
+    take "random" and "cyclic"."""
+    if value is None or (value in ("random", "cyclic") and solver != "happo"):
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(
+            _integer(f"permutation[{k}]", i, "experiment") for k, i in enumerate(value)
+        )
+    expected = "a list of agent indices"
+    if solver != "happo":
+        expected = "'random', 'cyclic' or " + expected
+    raise ValueError(f"experiment field 'permutation' must be {expected}, got {value!r}")
+
+
+def _named_option(
+    key: str, value: Any, registry: dict[str, Callable[..., Any]]
+) -> Optional[dict[str, Any]]:
+    """A drift or neighborhood: an object whose ``name`` is in the registry
+    and whose other keys are numeric options of that constructor."""
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise ValueError(f"experiment field {key!r} must be an object, got {value!r}")
+    name = value.get("name")
+    if not isinstance(name, str) or name not in registry:
+        raise ValueError(
+            f"experiment field {key!r} has name {name!r}, expected one of {sorted(registry)}"
+        )
+    own = inspect.signature(registry[name]).parameters
+    for option, number in value.items():
+        if option == "name":
+            continue
+        if option not in own:
+            raise ValueError(
+                f"experiment field {key!r}: {name!r} takes no option {option!r} "
+                f"(options: {sorted(own) or 'none'})"
+            )
+        if isinstance(number, bool) or not isinstance(number, (int, float)):
+            raise ValueError(
+                f"experiment field {key!r}: option {option!r} must be a number, got {number!r}"
+            )
+    return value
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:

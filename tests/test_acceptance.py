@@ -270,7 +270,7 @@ def test_criterion_5_cross_solver_agreement():
             continue
         if not oracle.converged:
             skipped.append(
-                f"game {k}: oracle unconverged after {oracle.iterations} iterations "
+                f"game {k}: oracle stopped ({oracle.status}) after {oracle.iterations} iterations "
                 f"(residual {oracle.residual:.1e})"
             )
             continue

@@ -449,6 +449,28 @@ class TestCliInterface:
             ({**HASPI_SPEC, "solver": "mehaml",
               "neighborhood": {"name": "kl_ball", "radius": float("nan")}},
              "KL ball radius must be finite"),
+            ({**HASPI_SPEC, "permutation": 5}, "'permutation' must be 'random', 'cyclic' or a list"),
+            ({**HASPI_SPEC, "permutation": ["a", 0]}, "'permutation[0]' must be an integer"),
+            ({"solver": "happo", "game": MATRIX_GAME_JSON, "permutation": "random"},
+             "'permutation' must be a list of agent indices"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": 5}, "'drift' must be an object"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"beta": 1.0}},
+             "'drift' has name None"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"name": ["kl"]}},
+             "'drift' has name ['kl']"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"name": "kl", "beta": "1"}},
+             "'drift': option 'beta' must be a number"),
+            ({**HASPI_SPEC, "solver": "mehaml", "neighborhood": 5},
+             "'neighborhood' must be an object"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"name": "kl", "betta": 3.0}},
+             "'drift': 'kl' takes no option 'betta'"),
+            ({**HASPI_SPEC, "solver": "mehaml", "drift": {"name": "trivial", "beta": 1.0}},
+             "'drift': 'trivial' takes no option 'beta'"),
+            ({**HASPI_SPEC, "solver": "mehaml",
+              "neighborhood": {"name": "kl_ball", "raduis": 0.2}},
+             "'neighborhood': 'kl_ball' takes no option 'raduis'"),
+            ({**HASPI_SPEC, "solver": "mehaml", "neighborhood": {"name": "full", "radius": 0.2}},
+             "'neighborhood': 'full' takes no option 'radius'"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
@@ -457,6 +479,26 @@ class TestCliInterface:
         assert main(["solve", path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_qre_cycle_exit_code(self, tmp_path, damping):
+        # each agent answers the other's favoured action, so the rows swap
+        spec = {
+            "solver": "qre-oracle",
+            "game": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            "alpha": 0.1,
+            "damping": damping,
+            "initial_policy": [[0.9, 0.1], [0.1, 0.9]],
+        }
+        path = write_json(tmp_path / "cyc.json", spec)
+        assert main(["qre", path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
+        summary = json.loads((tmp_path / "cyc_summary.json").read_text())
+        assert summary["status"] == "cycle"
+        assert summary["iterations"] < 100  # the default cap is 10,000
+        sweep = write_json(tmp_path / "sw.json", {**spec, "alpha": None, "alphas": [0.1, 1.0]})
+        assert main(["sweep-alpha", sweep, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
+        statuses = json.loads((tmp_path / "sw_sweep_summary.json").read_text())["statuses"]
+        assert statuses == {"0.1": "cycle", "1": "converged"}
 
     def test_validate_ok_and_violations(self, tmp_path, capsys):
         good = write_json(tmp_path / "good.game", MATRIX_GAME_JSON)

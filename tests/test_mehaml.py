@@ -27,7 +27,7 @@ from maxent_marl import (
     uniform_joint_policy,
     uniform_state_weighting,
 )
-from maxent_marl.mehaml import DriftFunctional, StateWeighting
+from maxent_marl.mehaml import DRIFTS, NEIGHBORHOODS, DriftFunctional, StateWeighting
 from conftest import random_start, suite_game, suite_params
 
 
@@ -71,6 +71,15 @@ class TestKlDrift:
             kl_drift(value)
         with pytest.raises(ValueError, match="KL ball radius must be finite"):
             kl_ball(value)
+
+    @pytest.mark.parametrize(
+        "registry, name, option",
+        [(DRIFTS, "kl", "betta"), (DRIFTS, "trivial", "beta"),
+         (NEIGHBORHOODS, "kl_ball", "raduis"), (NEIGHBORHOODS, "full", "radius")],
+    )
+    def test_spec_constructors_take_only_their_own_options(self, registry, name, option):
+        with pytest.raises(TypeError, match=option):
+            registry[name](**{option: 1.0})
 
 
 class TestMehamoEval:

@@ -23,6 +23,7 @@ from maxent_marl import (
     sup_policy_distance,
     uniform_joint_policy,
 )
+from maxent_marl import qre_oracle
 from maxent_marl.qre_oracle import deviation_grid_slack, unilateral_deviation_gain
 from conftest import random_start, suite_game, suite_params
 
@@ -109,11 +110,58 @@ class TestQreFixedPoint:
         sol = qre_fixed_point(matrix_game, 10.0, tol=1e-12, max_iters=3,
                               initial_joint_policy=start_policy)
         assert not sol.converged
+        assert sol.status == "max_iters"
         assert sol.residual > 1e-12
 
     def test_damping_validation(self, matrix_game):
         with pytest.raises(ValueError, match="damping"):
             qre_fixed_point(matrix_game, 1.0, damping=0.0)
+
+
+def suite_oracle(k):
+    """The benchmark suite's oracle run on game k: seeded start, cap 2,000."""
+    params = next(p for p in suite_params(100) if p[0] == k)
+    _k, n_agents, n_states, counts, gamma, alpha = params
+    game = suite_game(k, n_agents, n_states, counts, gamma)
+    return qre_fixed_point(game, alpha, damping=0.5, tol=1e-10, max_iters=2000,
+                           initial_joint_policy=random_start(game, k))
+
+
+class TestCycleStop:
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_swapped_start_on_identity_game_cycles(self, damping):
+        # each agent answers the other's favoured action, so the rows swap
+        game = new_matrix_game(np.eye(2))
+        jp = joint_policy_from_rows([np.array([[0.9, 0.1]]), np.array([[0.1, 0.9]])])
+        sol = qre_fixed_point(game, 0.1, damping=damping, initial_joint_policy=jp,
+                              record_trace=True)
+        assert sol.status == "cycle"
+        assert sol.trace.status == "cycle"
+        assert not sol.converged
+        assert sol.iterations < 50
+        assert abs(sol.residual - qre_residual(game, sol.joint_policy, 0.1)) < 1e-12
+
+    def test_suite_game_39_stops_early_with_the_capped_best_iterate(self, monkeypatch):
+        sol = suite_oracle(39)
+        assert sol.status == "cycle"
+        assert sol.iterations <= 100
+        # the same run with the cycle stop switched off spends the whole cap
+        monkeypatch.setattr(qre_oracle, "CYCLE_REPEATS", 10**9)
+        capped = suite_oracle(39)
+        assert capped.status == "max_iters"
+        assert capped.iterations == 2000
+        assert sol.residual == capped.residual
+        for a, b in zip(sol.joint_policy.agents, capped.joint_policy.agents):
+            assert a.table.tobytes() == b.table.tobytes()
+
+    @pytest.mark.parametrize("k, iterations", [(87, 135), (51, 133), (99, 118), (33, 89)])
+    def test_slow_converging_suite_runs_unchanged(self, k, iterations):
+        # the slowest suite runs, and game 33, whose residual goes longest
+        # without halving: none of them may be mistaken for a cycle
+        sol = suite_oracle(k)
+        assert sol.status == "converged"
+        assert sol.converged
+        assert sol.iterations == iterations
 
 
 class TestEnumeratePureNash:
