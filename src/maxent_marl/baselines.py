@@ -200,4 +200,4 @@ def baseline_run(
         jp = jp_new
         records.append(record(k, change))
     status = "converged" if change < 1e-9 else "max_iters"
-    return SolveTrace(iterations=records, status=status)
+    return SolveTrace(iterations=records, status=status, sweeps=options.iterations)

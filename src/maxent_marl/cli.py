@@ -20,6 +20,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -31,11 +32,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineOptions, baseline_run
-from .game_core import CooperativeMarkovGame, JointPolicy
+from .game_core import (
+    CooperativeMarkovGame,
+    JointPolicy,
+    joint_action_table,
+    joint_policy_from_rows,
+)
 from .haspi import (
     HaspiOptions,
     IterationRecord,
     SolveTrace,
+    boltzmann_local_update,
     cyclic_order,
     fixed_order,
     haspi_solve,
@@ -132,8 +139,6 @@ def _final_stats(
 ) -> tuple[float, float]:
     if alpha is None:
         # baselines: plain expected reward, no residual defined
-        from .game_core import joint_action_table
-
         value = float(
             game.initial_dist
             @ np.einsum("sa,sa->s", joint_action_table(policy), game.reward)
@@ -205,7 +210,9 @@ def _run_on_game(
             record_trace=spec.record_trace,
         )
         policy = solution.joint_policy
-        trace = solution.trace or SolveTrace(iterations=[], status="")
+        trace = solution.trace or SolveTrace(
+            iterations=[], status="", sweeps=max(0, solution.iterations - 1)
+        )
         status = solution.status
         # The best iterate is the first one with the smallest residual.
         final_record = next(
@@ -225,8 +232,6 @@ def _run_on_game(
         final_record = None
 
     if policy is None:
-        from .game_core import joint_policy_from_rows
-
         policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
     if final_record is not None:
         final_return, final_residual = final_record.maxent_return, final_record.qre_residual
@@ -240,7 +245,7 @@ def _run_on_game(
         alpha=alpha,
         seed=spec.seed,
         status=status,
-        iterations=max(0, len(trace.iterations) - 1),
+        iterations=trace.sweeps,
         final_return=final_return,
         final_qre_residual=final_residual,
         final_policy=tuple(a.table.copy() for a in policy.agents),
@@ -270,9 +275,6 @@ def replicate_appendix_b(
     decimals; the extra slack covers iterative convergence). Returns the
     table rows and a list of out-of-tolerance cell descriptions.
     """
-    from .game_core import joint_policy_from_rows
-    from .haspi import boltzmann_local_update
-
     game = load_game(bundled_game_path())
     start_rows = [np.array([_REPLICATION_START]), np.array([_REPLICATION_START])]
     initial = joint_policy_from_rows(start_rows)
@@ -362,7 +364,7 @@ def sweep_alpha(
                 final_return=float("nan"),
                 final_qre_residual=float("nan"),
                 final_policy=(),
-                trace=SolveTrace(iterations=[], status="error"),
+                trace=SolveTrace(iterations=[], status="error", sweeps=0),
                 error=str(exc),
             )
         records.append(record)
@@ -381,8 +383,6 @@ def sweep_alpha(
             "alphas": list(spec.alphas),
             "statuses": {f"{r.alpha:g}": r.status for r in records},
         }
-        import json
-
         atomic_write_text(
             target / f"{spec.name}_sweep_summary.json",
             json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -161,10 +161,17 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveTrace:
-    """Per-iteration records plus the final status."""
+    """Per-iteration records plus the final status.
+
+    ``sweeps`` counts the outer iterations that followed the initial
+    iterate (sweeps, oracle relaxation steps or baseline updates), whether
+    or not they were recorded; with records it equals
+    ``len(iterations) - 1``.
+    """
 
     iterations: list[IterationRecord]
     status: str  # "converged" | "max_iters"; the QRE oracle also "cycle"
+    sweeps: int
 
     @property
     def returns(self) -> list[float]:
@@ -338,7 +345,9 @@ def _policy_iteration_loop(
     q = _evaluate(game, jp, options)
     snapshot(0, None, 0.0, q)
     status = "max_iters"
+    sweeps = 0
     for k in range(1, options.max_outer_iters + 1):
+        sweeps = k
         perm = sampler(k - 1) if uses_permutation else None
         jp_new = sweep(game, jp, q, options.alpha, perm)
         change = sup_policy_distance(jp_new, jp)
@@ -348,7 +357,7 @@ def _policy_iteration_loop(
         if change < options.tol_policy:
             status = "converged"
             break
-    return jp, q, SolveTrace(iterations=records, status=status)
+    return jp, q, SolveTrace(iterations=records, status=status, sweeps=sweeps)
 
 
 def haspi_solve(

@@ -242,7 +242,7 @@ def qre_fixed_point(
     if records is not None:
         from .haspi import SolveTrace
 
-        trace = SolveTrace(iterations=records, status=status)
+        trace = SolveTrace(iterations=records, status=status, sweeps=max(0, iterations - 1))
     return QreSolution(
         joint_policy=best_jp,
         residual=best_residual,

@@ -161,8 +161,33 @@ def _check_policy(game: CooperativeMarkovGame, joint_policy: JointPolicy) -> Non
 def _policy_value(
     joint: np.ndarray, q_values: np.ndarray, bonus: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """V(s) from the joint table, the soft Q values and the entropy bonus."""
-    return np.einsum("sa,sa->s", joint, q_values) + alpha * bonus
+    """V(s) from the joint table, the soft Q values and the entropy bonus.
+
+    The average over the joint table is a batched matmul with its
+    warnings silenced, as in :func:`_policy_averages`; a NaN or inf it
+    makes reaches the caller, as it did with einsum.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        average = (joint[:, None, :] @ q_values[:, :, None])[:, 0, 0]
+    return average + alpha * bonus
+
+
+def _policy_averages(
+    game: CooperativeMarkovGame, joint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """rbar(s) = sum_a pi(a|s) r(s, a) and M(s, s') = sum_a pi(a|s) P(s'|s, a).
+
+    Both are batched matmuls, one (1 x A) @ (A x k) product per state, so
+    they run in BLAS. An infinite or NaN entry at an action of probability
+    zero gives 0 * inf = NaN there. matmul warns about that, and about an
+    overflowing sum, where einsum was silent; the warnings are silenced,
+    and the NaN or inf fails the bound of :func:`evaluate_policy_exact`.
+    """
+    rows = joint[:, None, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        rbar = (rows @ game.reward[:, :, None])[:, 0, 0]
+        m = (rows @ game.transition)[:, 0, :]
+    return rbar, m
 
 
 def _backup(game: CooperativeMarkovGame, v: np.ndarray) -> np.ndarray:
@@ -264,9 +289,7 @@ def evaluate_policy_exact(
     if game.gamma >= 1.0:
         raise ValueError("exact evaluation requires gamma < 1")
     _check_policy(game, joint_policy)
-    joint = joint_action_table(joint_policy)
-    rbar = np.einsum("sa,sa->s", joint, game.reward)
-    m = np.einsum("sa,sat->st", joint, game.transition)
+    rbar, m = _policy_averages(game, joint_action_table(joint_policy))
     lhs = np.eye(game.n_states) - game.gamma * m
     rhs = rbar + alpha * joint_policy.entropy_bonus
     try:

@@ -238,6 +238,8 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
     is an integer field that does not convert to an integer. So is a
     ``permutation``, ``drift`` or ``neighborhood`` of the wrong type, or
     a drift or neighborhood option that its constructor does not take.
+    ``record_trace`` must be a JSON boolean, ``name`` a string and ``out``
+    a string or null.
     """
     if not isinstance(data, dict):
         raise ValueError("experiment description must be an object")
@@ -272,7 +274,7 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
     return ExperimentSpec(
         solver=solver,
         game=data["game"],
-        name=str(data.get("name", "experiment")),
+        name=_typed("name", data.get("name", "experiment"), str, "a string"),
         alpha=alpha,
         alphas=alphas,
         seed=_integer("seed", data.get("seed", 0), "experiment"),
@@ -289,10 +291,17 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         update_mode=data.get("update_mode"),
         step_size=_opt_float(data, "step_size"),
         iterations=_opt_integer(data, "iterations"),
-        out=data.get("out"),
-        record_trace=bool(data.get("record_trace", True)),
+        out=_typed("out", data.get("out"), (str, type(None)), "a string or null"),
+        record_trace=_typed("record_trace", data.get("record_trace", True), bool, "true or false"),
         base_dir=None if base_dir is None else str(base_dir),
     )
+
+
+def _typed(key: str, value: Any, kind: type | tuple[type, ...], expected: str) -> Any:
+    """A field that must already have its JSON type; nothing is converted."""
+    if not isinstance(value, kind):
+        raise ValueError(f"experiment field {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _finite(key: str, value: Any) -> float:

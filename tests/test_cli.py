@@ -471,6 +471,11 @@ class TestCliInterface:
              "'neighborhood': 'kl_ball' takes no option 'raduis'"),
             ({**HASPI_SPEC, "solver": "mehaml", "neighborhood": {"name": "full", "radius": 0.2}},
              "'neighborhood': 'full' takes no option 'radius'"),
+            ({**HASPI_SPEC, "record_trace": "no"}, "'record_trace' must be true or false"),
+            ({**HASPI_SPEC, "record_trace": 0}, "'record_trace' must be true or false"),
+            ({**HASPI_SPEC, "name": 5}, "'name' must be a string, got 5"),
+            ({**HASPI_SPEC, "out": 5}, "'out' must be a string or null, got 5"),
+            ({**HASPI_SPEC, "out": ["dir"]}, "'out' must be a string or null"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
@@ -479,6 +484,23 @@ class TestCliInterface:
         assert main(["solve", path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("*_summary.json"))
+
+    def test_null_out_is_the_default(self):
+        assert parse_experiment({**HASPI_SPEC, "out": None}).out is None
+
+    @pytest.mark.parametrize("solver", ["haspi", "masac", "mehaml", "qre-oracle"])
+    def test_iterations_do_not_depend_on_the_trace(self, tmp_path, solver):
+        counts = {}
+        for record_trace in (True, False):
+            name = f"run_{record_trace}"
+            spec = {**HASPI_SPEC, "solver": solver, "record_trace": record_trace, "name": name}
+            path = write_json(tmp_path / f"{name}.json", spec)
+            code = main(["solve", path, "--out", str(tmp_path), "--quiet"])
+            summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
+            counts[record_trace] = (code, summary["status"], summary["iterations"])
+        assert counts[True] == counts[False]
+        assert counts[True][2] > 1
 
     @pytest.mark.parametrize("damping", [1.0, 0.5])
     def test_qre_cycle_exit_code(self, tmp_path, damping):

@@ -1,7 +1,9 @@
 """Soft dynamic programming: backups, evaluation, conditionals, advantages."""
 
+import functools
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from maxent_marl import (
     SoftQTable,
     evaluate_policy_exact,
     evaluate_policy_iterative,
+    joint_action_prob,
     joint_action_table,
     joint_policy_from_rows,
     maxent_return,
@@ -33,6 +36,7 @@ from maxent_marl.soft_dp import (
     _PAIRWISE_MIN_JOINT_ACTIONS,
     _conditional_plan,
     _conditional_q,
+    _policy_averages,
     zero_soft_q,
 )
 from conftest import random_start, suite_game, suite_params
@@ -451,6 +455,77 @@ class TestExactEvaluationCheck:
         jp = joint_policy_from_rows([np.array([[1.0, 0.0], [1.0, 0.0]])] * 2)
         with pytest.raises(RuntimeError, match="residual nan"):
             evaluate_policy_exact(broken, jp, 1.0)
+
+
+def average_shapes():
+    """One game per suite shape, then a 4-agent, 4-action, 3-state game."""
+    seen = set()
+    for k, n_agents, n_states, counts, gamma, _alpha in suite_params():
+        if (n_states, counts) not in seen:
+            seen.add((n_states, counts))
+            game = suite_game(k, n_agents, n_states, counts, gamma)
+            yield game, random_start(game, k)
+    game = random_game(7004, 4, 3, (4, 4, 4, 4), -1.0, 1.0, 0.9)
+    yield game, joint_policy_from_rows(
+        [np.random.default_rng(8004 + i).dirichlet(np.ones(4), size=3) for i in range(4)]
+    )
+
+
+def enumerated_average(game, jp, table):
+    """sum_a pi(a|s) table[s, a, ...] over an explicit joint-action loop, and
+    the same sum of absolute terms, the scale of its rounding error."""
+    total = np.zeros(table.shape[:1] + table.shape[2:])
+    scale = np.zeros_like(total)
+    for s in range(game.n_states):
+        for a, joint_action in enumerate(game.joint_actions()):
+            term = joint_action_prob(jp, s, joint_action) * table[s, a]
+            total[s] += term
+            scale[s] += np.abs(term)
+    return total, scale
+
+
+class TestPolicyAverages:
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("reward", (0, 3), np.inf), ("transition", (1, 3, 0), np.nan)],
+        ids=["inf-reward", "nan-kernel"],
+    )
+    def test_non_finite_entry_at_a_zero_probability_action_raises(self, field, index, value):
+        game = suite_game(6, 2, 2, (2, 2), 0.9)
+        tensors = {"reward": game.reward.copy(), "transition": game.transition.copy()}
+        tensors[field][index] = value
+        broken = CooperativeMarkovGame(
+            2, 2, (2, 2), tensors["reward"], tensors["transition"], 0.9, game.initial_dist
+        )
+        # Neither agent ever plays action 1, so joint action 3 has probability 0.
+        jp = joint_policy_from_rows([np.array([[1.0, 0.0], [1.0, 0.0]])] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="residual nan"):
+                evaluate_policy_exact(broken, jp, 1.0)
+
+    def test_averages_match_enumeration(self):
+        shapes = 0
+        for game, jp in average_shapes():
+            shapes += 1
+            joint = joint_action_table(jp)
+            q = SoftQTable(1.0, np.random.default_rng(shapes).uniform(-5.0, 5.0, joint.shape))
+            got = (*_policy_averages(game, joint), soft_value(game, jp, q, 0.0).values)
+            for value, table in zip(got, (game.reward, game.transition, q.values)):
+                want, scale = enumerated_average(game, jp, table)
+                assert value.shape == want.shape
+                assert np.all(np.abs(value - want) <= 1e-14 * scale)
+        assert shapes == 31
+
+    def test_joint_table_is_the_broadcast_product(self):
+        for game, jp in average_shapes():
+            n = game.n_agents
+            factors = [
+                agent.table.reshape((game.n_states,) + (1,) * i + (-1,) + (1,) * (n - 1 - i))
+                for i, agent in enumerate(jp.agents)
+            ]
+            product = functools.reduce(np.multiply, factors)
+            assert np.array_equal(joint_action_table(jp), product.reshape(game.n_states, -1))
 
 
 class TestAdvantage:
