@@ -62,6 +62,7 @@ from .specs import (
     load_game,
     parse_game,
     resolve_game,
+    trace_csv_header,
     write_summary_json,
     write_trace_csv,
     atomic_write_text,
@@ -257,7 +258,7 @@ def _run_on_game(
         target = _default_out_dir(str(out_dir) if out_dir else spec.out)
         trace_path = target / f"{spec.name}_trace.csv"
         summary_path = target / f"{spec.name}_summary.json"
-        lines = write_trace_csv(trace_path, trace, game.action_counts)
+        lines = write_trace_csv(trace_path, trace, game)
         record.trace_path = str(trace_path)
         record.summary_path = str(summary_path)
         write_summary_json(summary_path, record)
@@ -339,8 +340,9 @@ def sweep_alpha(
         raise ValueError("sweep requires a non-empty 'alphas' list")
     target = _default_out_dir(str(out_dir) if out_dir else spec.out)
     records: list[ResultRecord] = []
-    combined: list[str] = []
     game = resolve_game(spec)
+    # Each branch's trace CSV with an alpha column in front.
+    combined = ["alpha," + trace_csv_header(game)]
     for k, alpha in enumerate(spec.alphas):
         branch_seed = int(np.random.SeedSequence(spec.seed, spawn_key=(k,)).generate_state(1)[0])
         branch = dc_replace(
@@ -368,12 +370,7 @@ def sweep_alpha(
                 error=str(exc),
             )
         records.append(record)
-        if lines and record.trace.iterations:
-            # The branch CSV with an alpha column in front, as trace_csv_lines
-            # writes it when given the temperature.
-            if not combined:
-                combined.append("alpha," + lines[0])
-            combined.extend(f"{float(alpha)!r},{line}" for line in lines[1:])
+        combined.extend(f"{float(alpha)!r},{line}" for line in lines[1:])
     if write:
         atomic_write_text(
             target / f"{spec.name}_sweep.csv", "\r\n".join(combined) + "\r\n"

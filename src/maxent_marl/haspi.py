@@ -31,16 +31,19 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     Permutation,
+    joint_action_table,
     sup_policy_distance,
 )
-from .qre_oracle import boltzmann_rows, qre_residual
+from .qre_oracle import _logit_responses, boltzmann_rows
 from .soft_dp import (
     SoftQTable,
+    _agent_coefficients,
     _check_conditional,
     _conditional_q,
+    _policy_value,
+    _with_entropy,
     evaluate_policy_exact,
     evaluate_policy_iterative,
-    soft_value,
 )
 
 __all__ = [
@@ -178,6 +181,29 @@ class SolveTrace:
         return [rec.maxent_return for rec in self.iterations]
 
 
+def _prefix_averaged(
+    game: CooperativeMarkovGame,
+    q_values: np.ndarray,
+    joint_policy_old: JointPolicy,
+    updated_prefix: Sequence[AgentPolicy],
+    agent: int,
+    alpha: float,
+    reuse: Optional[list[np.ndarray]] = None,
+) -> np.ndarray:
+    """The values of :func:`expected_conditional_q` for checked arguments.
+
+    With no updated prefix, the agent may ``reuse`` its contraction from
+    the trace's record: the entropy added back gives the same bits.
+    """
+    prefix = tuple(p.agent_id for p in updated_prefix) + (agent,)
+    if reuse is not None and not updated_prefix:
+        return _with_entropy(joint_policy_old, reuse[agent], prefix, alpha)
+    values = _conditional_q(game, joint_policy_old, q_values, prefix, alpha)
+    for policy in updated_prefix:
+        values = np.einsum("sa...,sa->s...", values, policy.table)
+    return values
+
+
 def expected_conditional_q(
     game: CooperativeMarkovGame,
     q_old: SoftQTable,
@@ -195,11 +221,19 @@ def expected_conditional_q(
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     if agent in prefix_ids:
         raise ValueError(f"agent {agent} already appears in the updated prefix")
-    prefix = _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
-    values = _conditional_q(game, joint_policy_old, q_old.values, prefix, alpha)
-    for policy in updated_prefix:
-        values = np.einsum("sa...,sa->s...", values, policy.table)
-    return values
+    _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
+    return _prefix_averaged(game, q_old.values, joint_policy_old, updated_prefix, agent, alpha)
+
+
+# (old joint policy, updated prefix, agent, coefficients, alpha) -> new policy
+RowRule = Callable[[JointPolicy, Sequence[AgentPolicy], int, np.ndarray, float], AgentPolicy]
+
+
+def _boltzmann_rule(joint_policy_old, updated_prefix, agent, coefficients, alpha):
+    rows = boltzmann_rows(coefficients, alpha)
+    if not np.isfinite(rows).all():  # unreachable with finite Q
+        raise RuntimeError("Boltzmann update produced a non-finite row")
+    return AgentPolicy(agent, rows)
 
 
 def boltzmann_local_update(
@@ -221,13 +255,10 @@ def boltzmann_local_update(
     """
     if alpha <= 0:
         raise ValueError(f"temperature must be positive, got {alpha}")
-    coef = expected_conditional_q(
+    coefficients = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
-    rows = boltzmann_rows(coef, alpha)
-    if not np.isfinite(rows).all():  # unreachable with finite Q
-        raise RuntimeError("Boltzmann update produced a non-finite row")
-    return AgentPolicy(agent, rows)
+    return _boltzmann_rule(joint_policy_old, updated_prefix, agent, coefficients, alpha)
 
 
 def _sequential_sweep(
@@ -236,11 +267,17 @@ def _sequential_sweep(
     q: SoftQTable,
     alpha: float,
     permutation: Permutation,
+    rule: RowRule = _boltzmann_rule,
+    reuse: Optional[list[np.ndarray]] = None,
 ) -> JointPolicy:
+    """Update every agent along the permutation; (joint_policy, q) are checked."""
+    if len(permutation) != game.n_agents:
+        raise ValueError(f"permutation {permutation.order} does not cover {game.n_agents} agents")
     agents = list(joint_policy.agents)
     updated: list[AgentPolicy] = []
     for agent in permutation.order:
-        policy = boltzmann_local_update(game, q, joint_policy, updated, agent, alpha)
+        coefficients = _prefix_averaged(game, q.values, joint_policy, updated, agent, alpha, reuse)
+        policy = rule(joint_policy, updated, agent, coefficients, alpha)
         updated.append(policy)
         agents[agent] = policy
     return JointPolicy(tuple(agents))
@@ -251,23 +288,30 @@ def _simultaneous_sweep(
     joint_policy: JointPolicy,
     q: SoftQTable,
     alpha: float,
+    rule: RowRule = _boltzmann_rule,
+    reuse: Optional[list[np.ndarray]] = None,
 ) -> JointPolicy:
-    agents = tuple(
-        boltzmann_local_update(game, q, joint_policy, [], i, alpha)
-        for i in range(game.n_agents)
-    )
-    return JointPolicy(agents)
+    """Update every agent against the old policies; (joint_policy, q) are checked."""
+    agents = []
+    for i in range(game.n_agents):
+        coefficients = _prefix_averaged(game, q.values, joint_policy, (), i, alpha, reuse)
+        agents.append(rule(joint_policy, (), i, coefficients, alpha))
+    return JointPolicy(tuple(agents))
 
 
 def _evaluate(
-    game: CooperativeMarkovGame, joint_policy: JointPolicy, options: HaspiOptions
+    game: CooperativeMarkovGame,
+    joint_policy: JointPolicy,
+    alpha: float,
+    tol_eval: Optional[float] = None,
 ) -> SoftQTable:
-    if options.eval_method == "iterative":
-        q, _ = evaluate_policy_iterative(
-            game, joint_policy, options.alpha, tol=options.tol_eval
-        )
-        return q
-    return evaluate_policy_exact(game, joint_policy, options.alpha)
+    """The policy's soft Q, exact or iterative at ``tol_eval``, checked for the sweeps."""
+    if tol_eval is None:
+        q = evaluate_policy_exact(game, joint_policy, alpha)
+    else:
+        q, _ = evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)
+    _check_conditional(game, joint_policy, q, ())
+    return q
 
 
 def haspi_step(
@@ -283,10 +327,7 @@ def haspi_step(
     iteratively at ``tol_eval`` when given), then updates every agent
     along the permutation, each conditioning on the prefix updated so far.
     """
-    if tol_eval is None:
-        q = evaluate_policy_exact(game, joint_policy, alpha)
-    else:
-        q, _ = evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)
+    q = _evaluate(game, joint_policy, alpha, tol_eval)
     return _sequential_sweep(game, joint_policy, q, alpha, permutation)
 
 
@@ -297,63 +338,68 @@ def masac_step(
     tol_eval: Optional[float] = None,
 ) -> JointPolicy:
     """Simultaneous variant: every agent updates against old teammates."""
-    if tol_eval is None:
-        q = evaluate_policy_exact(game, joint_policy, alpha)
-    else:
-        q, _ = evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)
+    q = _evaluate(game, joint_policy, alpha, tol_eval)
     return _simultaneous_sweep(game, joint_policy, q, alpha)
-
-
-SweepFn = Callable[
-    [CooperativeMarkovGame, JointPolicy, SoftQTable, float, Permutation], JointPolicy
-]
 
 
 def _policy_iteration_loop(
     game: CooperativeMarkovGame,
     initial_joint_policy: JointPolicy,
     options: HaspiOptions,
-    sweep: SweepFn,
-    uses_permutation: bool = True,
+    rule: RowRule = _boltzmann_rule,
+    simultaneous: bool = False,
 ) -> tuple[JointPolicy, SoftQTable, "SolveTrace"]:
     """Shared outer loop: evaluate, record, sweep, check policy movement.
 
     Shared between the sequential, simultaneous and generalized (drift)
     solvers so that trivially-configured variants are iterate-for-iterate
-    identical under the same permutation seed.
+    identical under the same permutation seed. Each iterate (pi_k, Q_k)
+    is checked once. Its record's one-agent contractions give the QRE
+    residual and are reused by the next sweep's agents with no prefix.
     """
+    alpha = options.alpha
+    tol_eval = options.tol_eval if options.eval_method == "iterative" else None
     jp = initial_joint_policy
     sampler = options.permutation_rule.sampler(game.n_agents)
     records: list[IterationRecord] = []
 
-    def snapshot(k: int, perm: Optional[Permutation], change: float, q: SoftQTable) -> None:
+    def snapshot(
+        k: int, perm: Optional[Permutation], change: float, q: SoftQTable
+    ) -> Optional[list[np.ndarray]]:
         if not options.record_trace:
-            return
-        v = soft_value(game, jp, q, options.alpha)
+            return None
+        coefficients = _agent_coefficients(game, jp, q.values)
+        values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
+        values.flags.writeable = False
         records.append(
             IterationRecord(
                 iteration=k,
                 permutation=None if perm is None else perm.order,
                 policy_change=change,
-                maxent_return=float(game.initial_dist @ v.values),
-                values=v.values.copy(),
-                qre_residual=qre_residual(game, jp, options.alpha, q=q),
-                policies=tuple(a.table.copy() for a in jp.agents),
+                maxent_return=float(game.initial_dist @ values),
+                values=values,
+                qre_residual=_logit_responses(jp, coefficients, alpha)[1],
+                policies=tuple(a.table for a in jp.agents),
             )
         )
+        return coefficients
 
-    q = _evaluate(game, jp, options)
-    snapshot(0, None, 0.0, q)
+    q = _evaluate(game, jp, alpha, tol_eval)
+    reuse = snapshot(0, None, 0.0, q)
     status = "max_iters"
     sweeps = 0
     for k in range(1, options.max_outer_iters + 1):
         sweeps = k
-        perm = sampler(k - 1) if uses_permutation else None
-        jp_new = sweep(game, jp, q, options.alpha, perm)
+        if simultaneous:
+            perm = None
+            jp_new = _simultaneous_sweep(game, jp, q, alpha, rule, reuse)
+        else:
+            perm = sampler(k - 1)
+            jp_new = _sequential_sweep(game, jp, q, alpha, perm, rule, reuse)
         change = sup_policy_distance(jp_new, jp)
         jp = jp_new
-        q = _evaluate(game, jp, options)
-        snapshot(k, perm, change, q)
+        q = _evaluate(game, jp, alpha, tol_eval)
+        reuse = snapshot(k, perm, change, q)
         if change < options.tol_policy:
             status = "converged"
             break
@@ -373,11 +419,7 @@ def haspi_solve(
     trace records the entropy-regularized return, per-state values, QRE
     residual, permutation and policy snapshot of every iterate.
     """
-    return _policy_iteration_loop(game, initial_joint_policy, options, _haspi_sweep)
-
-
-def _haspi_sweep(game, jp, q, alpha, perm):
-    return _sequential_sweep(game, jp, q, alpha, perm)
+    return _policy_iteration_loop(game, initial_joint_policy, options)
 
 
 def masac_solve(
@@ -386,10 +428,4 @@ def masac_solve(
     options: HaspiOptions,
 ) -> tuple[JointPolicy, SoftQTable, SolveTrace]:
     """Outer loop around the simultaneous sweep; no permutation involved."""
-    return _policy_iteration_loop(
-        game, initial_joint_policy, options, _masac_sweep, uses_permutation=False
-    )
-
-
-def _masac_sweep(game, jp, q, alpha, perm):
-    return _simultaneous_sweep(game, jp, q, alpha)
+    return _policy_iteration_loop(game, initial_joint_policy, options, simultaneous=True)

@@ -33,10 +33,11 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
-    Permutation,
+    _entropy,
 )
 from .haspi import (
     HaspiOptions,
+    RowRule,
     SolveTrace,
     _policy_iteration_loop,
     expected_conditional_q,
@@ -213,12 +214,6 @@ def uniform_state_weighting(n_states: int) -> StateWeighting:
     return StateWeighting(np.full(n_states, 1.0 / n_states))
 
 
-def _row_entropy(row: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(row > 0.0, row * np.log(row), 0.0)
-    return float(-terms.sum())
-
-
 def mehamo_eval(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -231,14 +226,11 @@ def mehamo_eval(
     s: int,
 ) -> float:
     """The mirror value of one candidate row at one state, by enumeration."""
-    prefix_ids = {p.agent_id for p in updated_prefix}
-    if agent in prefix_ids:
-        raise ValueError(f"agent {agent} already appears in the updated prefix")
     coef = expected_conditional_q(game, q, joint_policy, updated_prefix, agent, alpha)
     cand = np.asarray(candidate_row, dtype=np.float64)
     return (
         float(coef[s] @ cand)
-        + alpha * _row_entropy(cand)
+        + alpha * _entropy(cand)
         - drift(game, joint_policy, agent, cand, s, updated_prefix)
     )
 
@@ -259,6 +251,52 @@ def _kl_regularized_rows(
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _mirror_rule(
+    game: CooperativeMarkovGame,
+    drift: DriftFunctional,
+    neighborhood: NeighborhoodOperator,
+    mode: str,
+) -> RowRule:
+    """The row rule of the mirror update; rejects a mode it cannot run."""
+    if mode not in ("closed_form", "line_search"):
+        raise ValueError(f"unknown update mode {mode!r}")
+    if mode == "closed_form" and not isinstance(drift, (TrivialDrift, KlDrift)):
+        raise ValueError(f"no closed form for drift {drift.name!r}; use mode='line_search'")
+    needs_backtrack = mode == "line_search" or not isinstance(neighborhood, FullNeighborhood)
+
+    def rule(joint_policy_old, updated_prefix, agent, coef, alpha):
+        incumbent = joint_policy_old.agents[agent].table
+        if isinstance(drift, KlDrift):
+            target = _kl_regularized_rows(coef, incumbent, alpha, drift.beta)
+        else:
+            target = boltzmann_rows(coef, alpha)
+        if not needs_backtrack:
+            return AgentPolicy(agent, target)
+
+        def mirror_value(s: int, row: np.ndarray) -> float:
+            return (
+                float(coef[s] @ row)
+                + alpha * _entropy(row)
+                - drift(game, joint_policy_old, agent, row, s, updated_prefix)
+            )
+
+        rows = np.empty_like(target)
+        for s in range(game.n_states):
+            base = mirror_value(s, incumbent[s])
+            chosen = incumbent[s]
+            t = 1.0
+            while t > _BACKTRACK_FLOOR:
+                cand = (1.0 - t) * incumbent[s] + t * target[s]
+                if neighborhood.contains(incumbent[s], cand) and mirror_value(s, cand) >= base:
+                    chosen = cand
+                    break
+                t *= 0.5
+            rows[s] = chosen
+        return AgentPolicy(agent, rows)
+
+    return rule
 
 
 def mehaml_local_update(
@@ -282,54 +320,11 @@ def mehaml_local_update(
     """
     if alpha <= 0:
         raise ValueError(f"temperature must be positive, got {alpha}")
-    prefix_ids = {p.agent_id for p in updated_prefix}
-    if agent in prefix_ids:
-        raise ValueError(f"agent {agent} already appears in the updated prefix")
-    if mode not in ("closed_form", "line_search"):
-        raise ValueError(f"unknown update mode {mode!r}")
-
+    rule = _mirror_rule(game, drift, neighborhood, mode)
     coef = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
-    incumbent = joint_policy_old.agents[agent].table
-
-    if isinstance(drift, TrivialDrift):
-        target = boltzmann_rows(coef, alpha)
-    elif isinstance(drift, KlDrift):
-        target = _kl_regularized_rows(coef, incumbent, alpha, drift.beta)
-    elif mode == "closed_form":
-        raise ValueError(
-            f"no closed form for drift {drift.name!r}; use mode='line_search'"
-        )
-    else:
-        target = boltzmann_rows(coef, alpha)
-
-    needs_backtrack = mode == "line_search" or not isinstance(
-        neighborhood, FullNeighborhood
-    )
-    if not needs_backtrack:
-        return AgentPolicy(agent, target)
-
-    def mirror_value(s: int, row: np.ndarray) -> float:
-        return (
-            float(coef[s] @ row)
-            + alpha * _row_entropy(row)
-            - drift(game, joint_policy_old, agent, row, s, updated_prefix)
-        )
-
-    rows = np.empty_like(target)
-    for s in range(game.n_states):
-        base = mirror_value(s, incumbent[s])
-        chosen = incumbent[s]
-        t = 1.0
-        while t > _BACKTRACK_FLOOR:
-            cand = (1.0 - t) * incumbent[s] + t * target[s]
-            if neighborhood.contains(incumbent[s], cand) and mirror_value(s, cand) >= base:
-                chosen = cand
-                break
-            t *= 0.5
-        rows[s] = chosen
-    return AgentPolicy(agent, rows)
+    return rule(joint_policy_old, updated_prefix, agent, coef, alpha)
 
 
 def mehaml_solve(
@@ -358,25 +353,8 @@ def mehaml_solve(
         state_weighting = uniform_state_weighting(game.n_states)
     if state_weighting.weights.shape != (game.n_states,):
         raise ValueError("state weighting length does not match the game")
-
-    def sweep(
-        game_: CooperativeMarkovGame,
-        jp: JointPolicy,
-        q: SoftQTable,
-        a: float,
-        perm: Permutation,
-    ) -> JointPolicy:
-        agents = list(jp.agents)
-        updated: list[AgentPolicy] = []
-        for agent in perm.order:
-            policy = mehaml_local_update(
-                game_, q, jp, updated, agent, a, drift, neighborhood, mode
-            )
-            updated.append(policy)
-            agents[agent] = policy
-        return JointPolicy(tuple(agents))
-
-    jp, _q, trace = _policy_iteration_loop(game, initial_joint_policy, options, sweep)
+    rule = _mirror_rule(game, drift, neighborhood, mode)
+    jp, _q, trace = _policy_iteration_loop(game, initial_joint_policy, options, rule)
     return jp, trace
 
 

@@ -33,11 +33,11 @@ from .game_core import (
 )
 from .soft_dp import (
     SoftQTable,
+    _agent_coefficients,
     _check_conditional,
-    _conditional_q,
+    _contract,
     evaluate_policy_exact,
     maxent_return,
-    multiagent_soft_q,
     soft_value,
 )
 
@@ -97,21 +97,18 @@ def logit_response(
         raise ValueError(f"temperature must be positive, got {alpha}")
     if q is None:
         q = evaluate_policy_exact(game, joint_policy, alpha)
-    coef = multiagent_soft_q(game, joint_policy, q, (agent,), alpha).values
+    prefix = _check_conditional(game, joint_policy, q, (agent,))
+    coef = _contract(game, joint_policy, q.values, prefix)
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
 
 
-def _logit_rows(
-    game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
-    alpha: float,
-    q: SoftQTable,
-) -> list[np.ndarray]:
-    _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
-    return [
-        boltzmann_rows(_conditional_q(game, joint_policy, q.values, (i,), alpha), alpha)
-        for i in range(game.n_agents)
-    ]
+def _logit_responses(
+    joint_policy: JointPolicy, coefficients: list[np.ndarray], alpha: float
+) -> tuple[list[np.ndarray], float]:
+    """Every agent's logit rows and their sup-norm gap to the policy."""
+    responses = [boltzmann_rows(coef, alpha) for coef in coefficients]
+    gap = max(float(np.abs(r - a.table).max()) for r, a in zip(responses, joint_policy.agents))
+    return responses, gap
 
 
 def qre_residual(
@@ -125,11 +122,9 @@ def qre_residual(
         raise ValueError(f"temperature must be positive, got {alpha}")
     if q is None:
         q = evaluate_policy_exact(game, joint_policy, alpha)
-    responses = _logit_rows(game, joint_policy, alpha, q)
-    return max(
-        float(np.abs(rows - agent.table).max())
-        for rows, agent in zip(responses, joint_policy.agents)
-    )
+    _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
+    coefficients = _agent_coefficients(game, joint_policy, q.values)
+    return _logit_responses(joint_policy, coefficients, alpha)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,11 +188,8 @@ def qre_fixed_point(
     step = np.inf  # ||pi_k - pi_{k-1}|| = damping * previous residual
     for k in range(max_iters):
         q = evaluate_policy_exact(game, jp, alpha)
-        responses = _logit_rows(game, jp, alpha, q)
-        residual = max(
-            float(np.abs(rows - agent.table).max())
-            for rows, agent in zip(responses, jp.agents)
-        )
+        _check_conditional(game, jp, q, ())
+        responses, residual = _logit_responses(jp, _agent_coefficients(game, jp, q.values), alpha)
         if records is not None:
             from .haspi import IterationRecord  # local import avoids a cycle
 

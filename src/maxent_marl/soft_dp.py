@@ -361,6 +361,37 @@ def _conditional_plan(
     return tuple(steps), complement
 
 
+def _contract(
+    game: CooperativeMarkovGame,
+    joint_policy: JointPolicy,
+    q_values: np.ndarray,
+    prefix: tuple[int, ...],
+) -> np.ndarray:
+    """E_{a^rest ~ pi}[Q(s, a)] over the agents outside a checked prefix:
+    the conditional of :func:`multiagent_soft_q` without their entropy."""
+    steps, _complement = _conditional_plan(game.action_counts, prefix)
+    values = q_values.reshape(game.n_states, *game.action_counts)
+    for subscripts, agents in steps:
+        values = np.einsum(subscripts, values, *(joint_policy.agents[i].table for i in agents))
+    return values
+
+
+def _with_entropy(
+    joint_policy: JointPolicy, values: np.ndarray, prefix: tuple[int, ...], alpha: float
+) -> np.ndarray:
+    """Add alpha * sum_{i not in prefix} H(pi^i(.|s)) to a contraction."""
+    complement = [i for i in range(joint_policy.n_agents) if i not in prefix]
+    if complement:
+        bonus = np.zeros(joint_policy.n_states)
+        for i in complement:
+            bonus += policy_entropy_rows(joint_policy.agents[i])
+        values = values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
+    # With the full prefix the einsum result is a transposed view. Callers
+    # average over its axes, and in that memory order the sums would round
+    # differently, so hand back the C layout.
+    return np.ascontiguousarray(values)
+
+
 def _conditional_q(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -369,19 +400,19 @@ def _conditional_q(
     alpha: float,
 ) -> np.ndarray:
     """The values of :func:`multiagent_soft_q` for checked arguments."""
-    steps, complement = _conditional_plan(game.action_counts, prefix)
-    values = q_values.reshape(game.n_states, *game.action_counts)
-    for subscripts, agents in steps:
-        values = np.einsum(subscripts, values, *(joint_policy.agents[i].table for i in agents))
-    if complement:
-        bonus = np.zeros(game.n_states)
-        for i in complement:
-            bonus += policy_entropy_rows(joint_policy.agents[i])
-        values = values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
-    # With the full prefix the einsum result is a transposed view. Callers
-    # average over its axes, and in that memory order the sums would round
-    # differently, so hand back the C layout.
-    return np.ascontiguousarray(values)
+    values = _contract(game, joint_policy, q_values, prefix)
+    return _with_entropy(joint_policy, values, prefix, alpha)
+
+
+def _agent_coefficients(
+    game: CooperativeMarkovGame, joint_policy: JointPolicy, q_values: np.ndarray
+) -> list[np.ndarray]:
+    """The logit coefficients E_{a^-i ~ pi^-i}[Q(s, a^i, a^-i)] of every agent i.
+
+    Checked arguments. The others' entropy, constant in a^i, is left out;
+    :func:`_with_entropy` adds it back bit for bit where it is needed.
+    """
+    return [_contract(game, joint_policy, q_values, (i,)) for i in range(game.n_agents)]
 
 
 def multiagent_soft_q(

@@ -26,7 +26,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -455,52 +455,41 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def trace_csv_lines(
-    trace: SolveTrace,
-    action_counts: Sequence[int],
-    alpha: Optional[float] = None,
-) -> list[str]:
-    """CSV body for a trace. Column order (documented contract):
+def trace_csv_header(game: CooperativeMarkovGame) -> str:
+    """Header line of a trace CSV. Column order (documented contract):
 
-    [alpha,] iteration, J, qre_residual, policy_change, permutation,
-    then one pi{agent}_s{state}_a{action} column per policy entry.
+    iteration, J, qre_residual, policy_change, permutation, then one
+    pi{agent}_s{state}_a{action} column per policy entry of the game.
+    """
+    header = ["iteration", "J", "qre_residual", "policy_change", "permutation"]
+    for i, n_actions in enumerate(game.action_counts):
+        header += [f"pi{i}_s{s}_a{a}" for s in range(game.n_states) for a in range(n_actions)]
+    return ",".join(header)
+
+
+def trace_csv_lines(trace: SolveTrace, game: CooperativeMarkovGame) -> list[str]:
+    """CSV body for a trace: :func:`trace_csv_header`, then one row per record.
+
     The permutation is pipe-joined agent indices, empty when untracked.
     """
-    header: list[str] = []
-    if alpha is not None:
-        header.append("alpha")
-    header += ["iteration", "J", "qre_residual", "policy_change", "permutation"]
-    if trace.iterations:
-        first = trace.iterations[0]
-        for i, table in enumerate(first.policies):
-            n_states, n_actions = table.shape
-            for s in range(n_states):
-                for a in range(n_actions):
-                    header.append(f"pi{i}_s{s}_a{a}")
-    lines = [",".join(header)]
+    lines = [trace_csv_header(game)]
     for rec in trace.iterations:
-        row: list[str] = []
-        if alpha is not None:
-            row.append(repr(float(alpha)))
-        row.append(str(rec.iteration))
-        row.append(_fmt(rec.maxent_return))
-        row.append(_fmt(rec.qre_residual))
-        row.append(_fmt(rec.policy_change))
-        row.append("" if rec.permutation is None else "|".join(map(str, rec.permutation)))
+        row = [
+            str(rec.iteration),
+            _fmt(rec.maxent_return),
+            _fmt(rec.qre_residual),
+            _fmt(rec.policy_change),
+            "" if rec.permutation is None else "|".join(map(str, rec.permutation)),
+        ]
         for table in rec.policies:
             row.extend(_fmt(v) for v in table.ravel())
         lines.append(",".join(row))
     return lines
 
 
-def write_trace_csv(
-    path: str | Path,
-    trace: SolveTrace,
-    action_counts: Sequence[int],
-    alpha: Optional[float] = None,
-) -> list[str]:
+def write_trace_csv(path: str | Path, trace: SolveTrace, game: CooperativeMarkovGame) -> list[str]:
     """Write the trace CSV atomically; returns its lines."""
-    lines = trace_csv_lines(trace, action_counts, alpha)
+    lines = trace_csv_lines(trace, game)
     atomic_write_text(path, "\r\n".join(lines) + "\r\n")
     return lines
 

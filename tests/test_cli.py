@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +376,25 @@ class TestSweep:
         combined = (tmp_path / "sw_sweep.csv").read_bytes()
         assert combined == b"\r\n".join(expected) + b"\r\n"
 
+    def test_untraced_sweep_writes_full_headers(self, tmp_path):
+        spec_path = write_json(
+            tmp_path / "u.json",
+            {
+                "solver": "haspi",
+                "game": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                "alphas": [1.0, 2.0],
+                "record_trace": False,
+            },
+        )
+        assert main(["sweep-alpha", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        header = "iteration,J,qre_residual,policy_change,permutation," + ",".join(
+            f"pi{i}_s0_a{a}" for i in range(2) for a in range(2)
+        )
+        for alpha in ("1", "2"):
+            trace = (tmp_path / f"u_alpha{alpha}_trace.csv").read_bytes()
+            assert trace == (header + "\r\n").encode()
+        assert (tmp_path / "u_sweep.csv").read_bytes() == ("alpha," + header + "\r\n").encode()
+
     def test_singleton_sweep_matches_run(self, tmp_path):
         base = {
             "solver": "haspi",
@@ -521,6 +543,17 @@ class TestCliInterface:
         assert main(["sweep-alpha", sweep, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
         statuses = json.loads((tmp_path / "sw_sweep_summary.json").read_text())["statuses"]
         assert statuses == {"0.1": "cycle", "1": "converged"}
+
+    def test_module_entry_point(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "maxent_marl", "--help"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "sweep-alpha" in result.stdout
 
     def test_validate_ok_and_violations(self, tmp_path, capsys):
         good = write_json(tmp_path / "good.game", MATRIX_GAME_JSON)

@@ -8,22 +8,35 @@ import pytest
 from maxent_marl import (
     HaspiOptions,
     Permutation,
+    SoftQTable,
     boltzmann_local_update,
     cyclic_order,
     evaluate_policy_exact,
     fixed_order,
+    full_neighborhood,
     haspi_solve,
     haspi_step,
     joint_policy_from_rows,
+    kl_ball,
+    kl_drift,
+    logit_response,
     masac_solve,
     masac_step,
     maxent_return,
+    mehaml_local_update,
+    mehaml_solve,
+    multiagent_soft_q,
     new_matrix_game,
     qre_fixed_point,
+    qre_residual,
+    random_game,
     random_order,
+    soft_value,
     sup_policy_distance,
+    trivial_drift,
     uniform_joint_policy,
 )
+from maxent_marl.haspi import expected_conditional_q
 from conftest import random_start, suite_game, suite_params
 
 FIRST_UPDATE_COEFS = np.array([-5.0, -14.0, -12.0])
@@ -256,3 +269,117 @@ class TestMasacSolve:
         _policy, _q, trace = masac_solve(matrix_game, start_policy, options)
         for rec in trace.iterations:
             assert np.allclose(rec.policies[0], rec.policies[1], atol=1e-14)
+
+
+def solve_each_way(game, start, alpha, k, record_trace, max_iters=300):
+    """Final policy and trace of every solver sharing the outer loop."""
+    options = HaspiOptions(
+        alpha=alpha, max_outer_iters=max_iters, permutation_rule=random_order(k),
+        record_trace=record_trace,
+    )
+    mehaml = {
+        "mehaml-kl": (kl_drift(1.0), full_neighborhood(), "closed_form"),
+        "mehaml-trivial": (trivial_drift(), full_neighborhood(), "closed_form"),
+        "mehaml-line-search": (kl_drift(1.0), kl_ball(0.1), "line_search"),
+    }
+    runs = {}
+    for name, solve in (("haspi", haspi_solve), ("masac", masac_solve)):
+        policy, _q, trace = solve(game, start, options)
+        runs[name] = (policy, trace)
+    for name, (drift, hood, mode) in mehaml.items():
+        runs[name] = mehaml_solve(game, start, alpha, drift, hood, options=options, mode=mode)
+    return runs
+
+
+# Two 2-agent suite games and one 3-agent game.
+TRACE_GAMES = [p for p in suite_params(13) if p[0] in (4, 7, 12)]
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("params", TRACE_GAMES, ids=lambda p: f"game{p[0]}")
+    def test_iterates_do_not_depend_on_the_trace(self, params):
+        # Only a traced run reuses the record's contractions in the next sweep.
+        k, n_agents, n_states, counts, gamma, alpha = params
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        start = random_start(game, k)
+        traced = solve_each_way(game, start, alpha, k, True)
+        untraced = solve_each_way(game, start, alpha, k, False)
+        for name, (policy, trace) in traced.items():
+            other_policy, other_trace = untraced[name]
+            assert (trace.status, trace.sweeps) == (other_trace.status, other_trace.sweeps), name
+            assert trace.sweeps > 1 and len(trace.iterations) == trace.sweeps + 1
+            assert not other_trace.iterations
+            for a, b in zip(policy.agents, other_policy.agents):
+                assert a.table.tobytes() == b.table.tobytes(), name
+
+    @pytest.mark.parametrize("params", TRACE_GAMES[:2], ids=lambda p: f"game{p[0]}")
+    def test_records_equal_a_fresh_evaluation(self, params):
+        k, n_agents, n_states, counts, gamma, alpha = params
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        runs = solve_each_way(game, random_start(game, k), alpha, k, True, max_iters=40)
+        for name, (_policy, trace) in runs.items():
+            for rec in trace.iterations:
+                jp = joint_policy_from_rows(rec.policies)
+                q = evaluate_policy_exact(game, jp, alpha)
+                assert rec.qre_residual == qre_residual(game, jp, alpha), name
+                assert rec.maxent_return == maxent_return(game, jp, alpha), name
+                assert rec.values.tobytes() == soft_value(game, jp, q, alpha).values.tobytes()
+
+
+def boundary_calls():
+    """Every public entry point over a conditional, called with (game, jp, q, agent)."""
+    return {
+        "expected_conditional_q": lambda g, jp, q, i: expected_conditional_q(g, q, jp, [], i, 1.0),
+        "boltzmann_local_update": lambda g, jp, q, i: boltzmann_local_update(g, q, jp, [], i, 1.0),
+        "mehaml_local_update": lambda g, jp, q, i: mehaml_local_update(
+            g, q, jp, [], i, 1.0, kl_drift(1.0), full_neighborhood()
+        ),
+        "multiagent_soft_q": lambda g, jp, q, i: multiagent_soft_q(g, jp, q, (i,), 1.0),
+        "logit_response": lambda g, jp, q, i: logit_response(g, jp, i, 1.0, q=q),
+        "qre_residual": lambda g, jp, q, i: qre_residual(g, jp, 1.0, q=q),
+    }
+
+
+VIOLATIONS = ["agent count", "action count", "q shape", "agent out of range", "negative agent"]
+BOUNDARY_CASES = [
+    (function, violation)
+    for function in boundary_calls()
+    for violation in VIOLATIONS
+    # qre_residual takes no agent
+    if function != "qre_residual" or violation in VIOLATIONS[:3]
+]
+
+
+class TestBoundaryChecks:
+    game = random_game(2, 2, 2, (2, 3), -1.0, 1.0, 0.5)
+
+    def violations(self):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        three_agents = uniform_joint_policy(random_game(2, 3, 2, (2, 3, 2), -1.0, 1.0, 0.5))
+        wrong_actions = uniform_joint_policy(random_game(2, 2, 2, (3, 3), -1.0, 1.0, 0.5))
+        return {
+            "agent count": ((three_agents, q, 0), "3 agents"),
+            "action count": ((wrong_actions, q, 0), "3 actions"),
+            "q shape": ((jp, SoftQTable(1.0, np.zeros((2, 7))), 0), "shape"),
+            "agent out of range": ((jp, q, 2), "out of range"),
+            "negative agent": ((jp, q, -1), "out of range"),
+        }
+
+    @pytest.mark.parametrize("function,violation", BOUNDARY_CASES)
+    def test_rejected_with_a_named_violation(self, function, violation):
+        (jp, q, agent), message = self.violations()[violation]
+        with pytest.raises(ValueError, match=message):
+            boundary_calls()[function](self.game, jp, q, agent)
+
+    def test_duplicate_agent_in_the_updated_prefix(self):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        with pytest.raises(ValueError, match="already appears in the updated prefix"):
+            expected_conditional_q(self.game, q, jp, [jp.agents[1]], 1, 1.0)
+
+    @pytest.mark.parametrize("order", [(0,), (1, 0, 2)])
+    def test_haspi_step_needs_a_permutation_of_every_agent(self, order):
+        jp = uniform_joint_policy(self.game)
+        with pytest.raises(ValueError, match="does not cover 2 agents"):
+            haspi_step(self.game, jp, 1.0, Permutation(order))

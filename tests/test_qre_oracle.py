@@ -16,6 +16,7 @@ from maxent_marl import (
     joint_kl_objective,
     joint_policy_from_rows,
     logit_response,
+    multiagent_soft_q,
     new_matrix_game,
     qre_fixed_point,
     qre_residual,
@@ -24,7 +25,11 @@ from maxent_marl import (
     uniform_joint_policy,
 )
 from maxent_marl import qre_oracle
-from maxent_marl.qre_oracle import deviation_grid_slack, unilateral_deviation_gain
+from maxent_marl.qre_oracle import (
+    boltzmann_rows,
+    deviation_grid_slack,
+    unilateral_deviation_gain,
+)
 from conftest import random_start, suite_game, suite_params
 
 
@@ -64,6 +69,25 @@ class TestQreResidual:
         expected = float(np.abs(logit_row - [0.6, 0.2, 0.2]).max())
         assert qre_residual(matrix_game, start_policy, 1.0) == pytest.approx(expected, abs=1e-12)
         assert round(expected, 4) == 0.3990
+
+    def test_entropy_free_coefficients_match_the_conditional(self):
+        # The residual's coefficients leave out the other agents' entropy,
+        # which cancels in each Boltzmann row up to the last bits.
+        for k, n_agents, n_states, counts, gamma, alpha in suite_params(100):
+            game = suite_game(k, n_agents, n_states, counts, gamma)
+            jp = random_start(game, k)
+            q = evaluate_policy_exact(game, jp, alpha)
+            rows = [
+                boltzmann_rows(multiagent_soft_q(game, jp, q, (i,), alpha).values, alpha)
+                for i in range(n_agents)
+            ]
+            reference = max(
+                float(np.abs(r - agent.table).max()) for r, agent in zip(rows, jp.agents)
+            )
+            assert abs(qre_residual(game, jp, alpha) - reference) <= 1e-14
+            for i in range(n_agents):
+                response = logit_response(game, jp, i, alpha, q=q).table
+                assert np.abs(response - rows[i]).max() <= 1e-14
 
     def test_single_agent_boltzmann_optimum(self):
         from maxent_marl import CooperativeMarkovGame
