@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .common import IterationRecord, SolveTrace
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -30,7 +31,6 @@ from .game_core import (
     joint_action_table,
     sup_policy_distance,
 )
-from .haspi import IterationRecord, SolveTrace
 
 __all__ = [
     "BaselineOptions",

@@ -14,7 +14,10 @@ Global flags (valid after the subcommand): --seed, --tol, --max-iters,
 the current directory. Exit codes: 0 success or converged, 1 invalid
 input or a solver error, 2 the solver (or its iterative evaluation) hit
 its iteration cap, or the oracle stopped at a cycle, 3 replication
-mismatch.
+mismatch. ``sweep-alpha`` exits with the worst code of its branches; a
+branch whose iterative evaluation hit its cap has status
+``eval_max_iters`` (exit 2), and one that failed otherwise ``error``
+(exit 1).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineOptions, baseline_run
+from .common import IterationRecord, SolveTrace
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -40,8 +44,6 @@ from .game_core import (
 )
 from .haspi import (
     HaspiOptions,
-    IterationRecord,
-    SolveTrace,
     boltzmann_local_update,
     cyclic_order,
     fixed_order,
@@ -334,7 +336,9 @@ def sweep_alpha(
     Branch k runs with a seed spawned as SeedSequence(seed, spawn_key=(k,))
     so the branches are independent yet reproducible from the single
     spec-level seed. Per-branch failures are isolated: the failing branch
-    is marked in its record, the rest of the sweep proceeds.
+    is marked in its record, the rest of the sweep proceeds. Its status is
+    "eval_max_iters" when its iterative evaluation hit the cap and
+    "error" for any other failure.
     """
     if not spec.alphas:
         raise ValueError("sweep requires a non-empty 'alphas' list")
@@ -356,17 +360,18 @@ def sweep_alpha(
         try:
             record, lines = _run_on_game(branch, game, target, write)
         except Exception as exc:  # isolate per-branch failures
+            status = "eval_max_iters" if isinstance(exc, EvaluationNotConverged) else "error"
             record = ResultRecord(
                 name=branch.name,
                 solver=spec.solver,
                 alpha=alpha,
                 seed=branch_seed,
-                status="error",
+                status=status,
                 iterations=0,
                 final_return=float("nan"),
                 final_qre_residual=float("nan"),
                 final_policy=(),
-                trace=SolveTrace(iterations=[], status="error", sweeps=0),
+                trace=SolveTrace(iterations=[], status=status, sweeps=0),
                 error=str(exc),
             )
         records.append(record)
@@ -419,6 +424,8 @@ def _print_record(record: ResultRecord, quiet: bool) -> None:
 
 
 def _status_exit_code(status: str) -> int:
+    """0 for "converged", 1 for "error"; 2 for "max_iters", "cycle" and
+    "eval_max_iters", the ways a run stops without converging."""
     if status in ("converged",):
         return EXIT_OK
     if status == "error":

@@ -1,0 +1,86 @@
+"""Definitions the solvers share: the Boltzmann row rule, the gap of a
+policy to its logit response, and the solve trace.
+
+A leaf module: it imports nothing from the package, so the sequential
+solvers, the oracle, the baselines and the spec layer all import from it
+without a cycle. The public names are re-exported by the modules that
+documented them first (:mod:`maxent_marl.haspi` and
+:mod:`maxent_marl.qre_oracle`).
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+__all__ = ["boltzmann_rows", "IterationRecord", "SolveTrace"]
+
+
+def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise softmax of coefficients / alpha with max-shift stabilization.
+
+    Constant offsets per row (such as other agents' entropy bonuses)
+    cancel exactly in the normalization. Any leading axes are batch axes:
+    each last-axis row is normalized on its own, with the same bits as a
+    call on that row alone.
+    """
+    if alpha <= 0:
+        raise ValueError(f"temperature must be positive, got {alpha}")
+    z = coefficients / alpha
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _logit_responses(
+    tables: Sequence[np.ndarray], coefficients: Sequence[np.ndarray], alpha: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every agent's logit rows and their sup-norm gap to its policy table.
+
+    Per agent, ``tables`` and ``coefficients`` may carry leading batch
+    axes, such as the iterates of a solve stacked on axis 0; the gap then
+    has one entry per batch member, with the bits of an unbatched call.
+    """
+    responses = [boltzmann_rows(coef, alpha) for coef in coefficients]
+    gaps = [np.abs(r - t).max(axis=(-2, -1)) for r, t in zip(responses, tables)]
+    return responses, functools.reduce(np.maximum, gaps)
+
+
+@dataclass(frozen=True, eq=False)
+class IterationRecord:
+    """State of the solve after one outer iteration.
+
+    Record 0 describes the initial policy (no permutation, no change).
+    ``values`` is the per-state soft value vector and ``policies`` the
+    per-agent row tables of the policy this record describes.
+    """
+
+    iteration: int
+    permutation: Optional[tuple[int, ...]]
+    policy_change: float
+    maxent_return: float
+    values: np.ndarray
+    qre_residual: float
+    policies: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class SolveTrace:
+    """Per-iteration records plus the final status.
+
+    ``sweeps`` counts the outer iterations that followed the initial
+    iterate (sweeps, oracle relaxation steps or baseline updates), whether
+    or not they were recorded; with records it equals
+    ``len(iterations) - 1``.
+    """
+
+    iterations: list[IterationRecord]
+    status: str  # "converged" | "max_iters"; the QRE oracle also "cycle"
+    sweeps: int
+
+    @property
+    def returns(self) -> list[float]:
+        return [rec.maxent_return for rec in self.iterations]

@@ -120,6 +120,18 @@ class CooperativeMarkovGame:
         """
         return float(np.abs(self.transition).sum(axis=2).max())
 
+    @cached_property
+    def _finite_rows(self) -> bool:
+        """Whether the reward and the kernel have finite absolute row sums.
+
+        Then every entry is finite, and an average of either under a policy
+        makes no NaN and does not overflow. Computed on first use and
+        cached, like :attr:`transition_norm`.
+        """
+        with np.errstate(over="ignore"):
+            reward_norm = float(np.abs(self.reward).sum(axis=1).max())
+        return math.isfinite(self.transition_norm) and math.isfinite(reward_norm)
+
     def joint_index(self, joint_action: Sequence[int]) -> int:
         """Flat index of a joint action tuple (row-major agent order)."""
         return int(np.ravel_multi_index(tuple(joint_action), self.action_counts))
@@ -138,8 +150,10 @@ class AgentPolicy:
     least ``floor``. The floor is a declared lower bound, default 0;
     deterministic rows are legitimate at floor 0, while Boltzmann-produced
     rows are strictly positive analytically without needing a positive
-    floor. The table is a read-only copy of the input, so the row
-    entropies cached on first use cannot go stale.
+    floor. Public construction makes the table a read-only copy of the
+    input, so the logs and row entropies cached on first use cannot go
+    stale. The solvers build the rows they normalize themselves through
+    :meth:`_unchecked`, which skips the copy and the checks.
     """
 
     agent_id: int
@@ -167,6 +181,18 @@ class AgentPolicy:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "agent_id", int(self.agent_id))
 
+    @classmethod
+    def _unchecked(cls, agent_id: int, table: np.ndarray) -> "AgentPolicy":
+        """A policy over rows its solver made stochastic and checked finite.
+
+        No copy and no reductions: ``table`` is a fresh float64 array the
+        caller owns, and it is made read-only here.
+        """
+        table.flags.writeable = False
+        policy = object.__new__(cls)
+        policy.__dict__.update(agent_id=agent_id, table=table, floor=0.0)
+        return policy
+
     @property
     def n_states(self) -> int:
         return self.table.shape[0]
@@ -176,12 +202,32 @@ class AgentPolicy:
         return self.table.shape[1]
 
     @cached_property
-    def _entropy_rows(self) -> np.ndarray:
-        # 0 * log 0 = 0: non-positive entries become 1, whose term is 0.
-        p = np.where(self.table > 0.0, self.table, 1.0)
-        rows = -(p * np.log(p)).sum(axis=1)
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """log pi, -inf where pi is not positive, and the row entropies.
+
+        Computed together once, without a warning; both read-only.
+        """
+        table = self.table
+        positive = table > 0.0
+        if positive.all():
+            log = np.log(table)
+            terms = table * log
+        else:
+            log = np.log(table, out=np.full(table.shape, -np.inf), where=positive)
+            # 0 * log 0 = 0: entries that are not positive add a zero term.
+            terms = np.multiply(table, log, out=np.zeros(table.shape), where=positive)
+        rows = -terms.sum(axis=1)
+        log.flags.writeable = False
         rows.flags.writeable = False
-        return rows
+        return log, rows
+
+    @property
+    def _log_table(self) -> np.ndarray:
+        return self._logs[0]
+
+    @property
+    def _entropy_rows(self) -> np.ndarray:
+        return self._logs[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +281,13 @@ class JointPolicy:
         total.flags.writeable = False
         return total
 
+    @classmethod
+    def _unchecked(cls, agents: tuple[AgentPolicy, ...]) -> "JointPolicy":
+        """A joint policy over agents a solver placed in id order itself."""
+        joint = object.__new__(cls)
+        joint.__dict__["agents"] = agents
+        return joint
+
     def replace(self, policy: AgentPolicy) -> "JointPolicy":
         """A copy with one agent's policy swapped out."""
         agents = list(self.agents)
@@ -253,6 +306,13 @@ class Permutation:
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"{order} is not a permutation of 0..{len(order) - 1}")
+
+    @classmethod
+    def _unchecked(cls, order: tuple[int, ...]) -> "Permutation":
+        """A permutation a sampler drew as Python ints."""
+        perm = object.__new__(cls)
+        perm.__dict__["order"] = order
+        return perm
 
     def __len__(self) -> int:
         return len(self.order)

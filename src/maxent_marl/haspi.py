@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .common import IterationRecord, SolveTrace, _logit_responses, boltzmann_rows
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -34,7 +35,6 @@ from .game_core import (
     joint_action_table,
     sup_policy_distance,
 )
-from .qre_oracle import _logit_responses, boltzmann_rows
 from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
@@ -94,9 +94,9 @@ class PermutationRule:
             return lambda k: perm
         if self.kind == "cyclic":
             base = np.arange(n_agents)
-            return lambda k: Permutation(tuple(np.roll(base, -k)))
+            return lambda k: Permutation._unchecked(tuple(np.roll(base, -k).tolist()))
         rng = np.random.default_rng(self.seed)
-        return lambda k: Permutation(tuple(rng.permutation(n_agents)))
+        return lambda k: Permutation._unchecked(tuple(rng.permutation(n_agents).tolist()))
 
 
 def fixed_order(ordering: Sequence[int]) -> PermutationRule:
@@ -144,43 +144,6 @@ class HaspiOptions:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class IterationRecord:
-    """State of the solve after one outer iteration.
-
-    Record 0 describes the initial policy (no permutation, no change).
-    ``values`` is the per-state soft value vector and ``policies`` the
-    per-agent row tables of the policy this record describes.
-    """
-
-    iteration: int
-    permutation: Optional[tuple[int, ...]]
-    policy_change: float
-    maxent_return: float
-    values: np.ndarray
-    qre_residual: float
-    policies: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SolveTrace:
-    """Per-iteration records plus the final status.
-
-    ``sweeps`` counts the outer iterations that followed the initial
-    iterate (sweeps, oracle relaxation steps or baseline updates), whether
-    or not they were recorded; with records it equals
-    ``len(iterations) - 1``.
-    """
-
-    iterations: list[IterationRecord]
-    status: str  # "converged" | "max_iters"; the QRE oracle also "cycle"
-    sweeps: int
-
-    @property
-    def returns(self) -> list[float]:
-        return [rec.maxent_return for rec in self.iterations]
-
-
 def _prefix_averaged(
     game: CooperativeMarkovGame,
     q_values: np.ndarray,
@@ -225,7 +188,8 @@ def expected_conditional_q(
     return _prefix_averaged(game, q_old.values, joint_policy_old, updated_prefix, agent, alpha)
 
 
-# (old joint policy, updated prefix, agent, coefficients, alpha) -> new policy
+# (old joint policy, updated prefix, agent, coefficients, alpha) -> new policy.
+# The sweeps place the result unchecked, so a rule checks its rows finite.
 RowRule = Callable[[JointPolicy, Sequence[AgentPolicy], int, np.ndarray, float], AgentPolicy]
 
 
@@ -233,7 +197,7 @@ def _boltzmann_rule(joint_policy_old, updated_prefix, agent, coefficients, alpha
     rows = boltzmann_rows(coefficients, alpha)
     if not np.isfinite(rows).all():  # unreachable with finite Q
         raise RuntimeError("Boltzmann update produced a non-finite row")
-    return AgentPolicy(agent, rows)
+    return AgentPolicy._unchecked(agent, rows)
 
 
 def boltzmann_local_update(
@@ -280,7 +244,7 @@ def _sequential_sweep(
         policy = rule(joint_policy, updated, agent, coefficients, alpha)
         updated.append(policy)
         agents[agent] = policy
-    return JointPolicy(tuple(agents))
+    return JointPolicy._unchecked(tuple(agents))
 
 
 def _simultaneous_sweep(
@@ -296,7 +260,7 @@ def _simultaneous_sweep(
     for i in range(game.n_agents):
         coefficients = _prefix_averaged(game, q.values, joint_policy, (), i, alpha, reuse)
         agents.append(rule(joint_policy, (), i, coefficients, alpha))
-    return JointPolicy(tuple(agents))
+    return JointPolicy._unchecked(tuple(agents))
 
 
 def _evaluate(
@@ -342,6 +306,12 @@ def masac_step(
     return _simultaneous_sweep(game, joint_policy, q, alpha)
 
 
+# Traced iterates whose QRE residuals are computed together: enough to spread
+# the per-call cost of the softmax thin, few enough to keep the contractions
+# held for them small.
+_RESIDUAL_BATCH = 64
+
+
 def _policy_iteration_loop(
     game: CooperativeMarkovGame,
     initial_joint_policy: JointPolicy,
@@ -354,14 +324,17 @@ def _policy_iteration_loop(
     Shared between the sequential, simultaneous and generalized (drift)
     solvers so that trivially-configured variants are iterate-for-iterate
     identical under the same permutation seed. Each iterate (pi_k, Q_k)
-    is checked once. Its record's one-agent contractions give the QRE
-    residual and are reused by the next sweep's agents with no prefix.
+    is checked once. A traced iterate's one-agent contractions are reused
+    by the next sweep's agents with no prefix and kept; they give the QRE
+    residuals of up to ``_RESIDUAL_BATCH`` records in one softmax per agent.
     """
     alpha = options.alpha
     tol_eval = options.tol_eval if options.eval_method == "iterative" else None
     jp = initial_joint_policy
     sampler = options.permutation_rule.sampler(game.n_agents)
     records: list[IterationRecord] = []
+    # Each traced iterate's record fields but the residual, and its contractions.
+    pending: list[tuple[dict, list[np.ndarray]]] = []
 
     def snapshot(
         k: int, perm: Optional[Permutation], change: float, q: SoftQTable
@@ -371,17 +344,18 @@ def _policy_iteration_loop(
         coefficients = _agent_coefficients(game, jp, q.values)
         values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
         values.flags.writeable = False
-        records.append(
-            IterationRecord(
-                iteration=k,
-                permutation=None if perm is None else perm.order,
-                policy_change=change,
-                maxent_return=float(game.initial_dist @ values),
-                values=values,
-                qre_residual=_logit_responses(jp, coefficients, alpha)[1],
-                policies=tuple(a.table for a in jp.agents),
-            )
+        fields = dict(
+            iteration=k,
+            permutation=None if perm is None else perm.order,
+            policy_change=change,
+            maxent_return=float(game.initial_dist @ values),
+            values=values,
+            policies=tuple(a.table for a in jp.agents),
         )
+        pending.append((fields, coefficients))
+        if len(pending) == _RESIDUAL_BATCH:
+            records.extend(_with_residuals(pending, game.n_agents, alpha))
+            pending.clear()
         return coefficients
 
     q = _evaluate(game, jp, alpha, tol_eval)
@@ -403,7 +377,20 @@ def _policy_iteration_loop(
         if change < options.tol_policy:
             status = "converged"
             break
+    records.extend(_with_residuals(pending, game.n_agents, alpha))
     return jp, q, SolveTrace(iterations=records, status=status, sweeps=sweeps)
+
+
+def _with_residuals(
+    pending: list[tuple[dict, list[np.ndarray]]], n_agents: int, alpha: float
+) -> list[IterationRecord]:
+    """The records, each QRE residual from the iterates stacked per agent."""
+    if not pending:
+        return []
+    tables = [np.stack([f["policies"][i] for f, _ in pending]) for i in range(n_agents)]
+    coefficients = [np.stack([coef[i] for _, coef in pending]) for i in range(n_agents)]
+    residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
+    return [IterationRecord(**f, qre_residual=r) for (f, _), r in zip(pending, residuals)]
 
 
 def haspi_solve(

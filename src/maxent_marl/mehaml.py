@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .common import SolveTrace, boltzmann_rows
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -38,11 +39,9 @@ from .game_core import (
 from .haspi import (
     HaspiOptions,
     RowRule,
-    SolveTrace,
     _policy_iteration_loop,
     expected_conditional_q,
 )
-from .qre_oracle import boltzmann_rows
 from .soft_dp import SoftQTable
 
 __all__ = [
@@ -117,9 +116,9 @@ class KlDrift(DriftFunctional):
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
         p = np.asarray(candidate_row, dtype=np.float64)
-        q = joint_policy.agents[agent].table[state]
+        log_q = joint_policy.agents[agent]._log_table[state]
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
+            terms = np.where(p > 0.0, p * (np.log(p) - log_q), 0.0)
         return float(self.beta * terms.sum())
 
 
@@ -236,18 +235,17 @@ def mehamo_eval(
 
 
 def _kl_regularized_rows(
-    coef: np.ndarray, incumbent: np.ndarray, alpha: float, beta: float
+    coef: np.ndarray, incumbent: AgentPolicy, alpha: float, beta: float
 ) -> np.ndarray:
     """Closed-form argmax of the mirror value under a KL drift.
 
     Zero-probability incumbent entries stay at zero: the KL term forces
-    absolute continuity of the candidate with respect to the incumbent.
+    absolute continuity of the candidate with respect to the incumbent,
+    whose cached log is -inf there.
     """
     if beta == 0.0:
         return boltzmann_rows(coef, alpha)
-    with np.errstate(divide="ignore"):
-        logq = np.log(incumbent)
-    z = (beta * logq + coef) / (alpha + beta)
+    z = (beta * incumbent._log_table + coef) / (alpha + beta)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -267,13 +265,16 @@ def _mirror_rule(
     needs_backtrack = mode == "line_search" or not isinstance(neighborhood, FullNeighborhood)
 
     def rule(joint_policy_old, updated_prefix, agent, coef, alpha):
-        incumbent = joint_policy_old.agents[agent].table
+        incumbent_policy = joint_policy_old.agents[agent]
+        incumbent = incumbent_policy.table
         if isinstance(drift, KlDrift):
-            target = _kl_regularized_rows(coef, incumbent, alpha, drift.beta)
+            target = _kl_regularized_rows(coef, incumbent_policy, alpha, drift.beta)
         else:
             target = boltzmann_rows(coef, alpha)
+        if not np.isfinite(target).all():  # unreachable with finite Q
+            raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
-            return AgentPolicy(agent, target)
+            return AgentPolicy._unchecked(agent, target)
 
         def mirror_value(s: int, row: np.ndarray) -> float:
             return (
@@ -294,7 +295,8 @@ def _mirror_rule(
                     break
                 t *= 0.5
             rows[s] = chosen
-        return AgentPolicy(agent, rows)
+        # Each row lies on the segment between two finite stochastic rows.
+        return AgentPolicy._unchecked(agent, rows)
 
     return rule
 

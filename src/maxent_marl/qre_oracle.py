@@ -17,12 +17,14 @@ deviation check on a simplex grid.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .common import IterationRecord, SolveTrace, _logit_responses, boltzmann_rows
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -36,9 +38,9 @@ from .soft_dp import (
     _agent_coefficients,
     _check_conditional,
     _contract,
+    _policy_value,
     evaluate_policy_exact,
     maxent_return,
-    soft_value,
 )
 
 __all__ = [
@@ -66,20 +68,6 @@ CYCLE_RTOL = 1e-6
 CYCLE_REPEATS = 3
 
 
-def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise softmax of coefficients / alpha with max-shift stabilization.
-
-    Constant offsets per row (such as other agents' entropy bonuses)
-    cancel exactly in the normalization.
-    """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
-    z = coefficients / alpha
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def logit_response(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -102,13 +90,8 @@ def logit_response(
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
 
 
-def _logit_responses(
-    joint_policy: JointPolicy, coefficients: list[np.ndarray], alpha: float
-) -> tuple[list[np.ndarray], float]:
-    """Every agent's logit rows and their sup-norm gap to the policy."""
-    responses = [boltzmann_rows(coef, alpha) for coef in coefficients]
-    gap = max(float(np.abs(r - a.table).max()) for r, a in zip(responses, joint_policy.agents))
-    return responses, gap
+def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
+    return [agent.table for agent in joint_policy.agents]
 
 
 def qre_residual(
@@ -124,7 +107,7 @@ def qre_residual(
         q = evaluate_policy_exact(game, joint_policy, alpha)
     _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
     coefficients = _agent_coefficients(game, joint_policy, q.values)
-    return _logit_responses(joint_policy, coefficients, alpha)[1]
+    return float(_logit_responses(_tables(joint_policy), coefficients, alpha)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,20 +172,23 @@ def qre_fixed_point(
     for k in range(max_iters):
         q = evaluate_policy_exact(game, jp, alpha)
         _check_conditional(game, jp, q, ())
-        responses, residual = _logit_responses(jp, _agent_coefficients(game, jp, q.values), alpha)
+        tables = _tables(jp)
+        responses, gap = _logit_responses(tables, _agent_coefficients(game, jp, q.values), alpha)
+        residual = float(gap)
+        if math.isnan(residual):  # unreachable with a finite Q
+            raise RuntimeError("logit response produced a non-finite row")
         if records is not None:
-            from .haspi import IterationRecord  # local import avoids a cycle
-
-            v = soft_value(game, jp, q, alpha)
+            values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
+            values.flags.writeable = False
             records.append(
                 IterationRecord(
                     iteration=k,
                     permutation=None,
                     policy_change=float("nan") if k == 0 else damping * residual,
-                    maxent_return=float(game.initial_dist @ v.values),
-                    values=v.values.copy(),
+                    maxent_return=float(game.initial_dist @ values),
+                    values=values,
                     qre_residual=residual,
-                    policies=tuple(a.table.copy() for a in jp.agents),
+                    policies=tuple(tables),
                 )
             )
         iterations = k + 1
@@ -225,15 +211,14 @@ def qre_fixed_point(
             status = "converged"
             break
         step = damping * residual
+        # Finite rows (the residual above is finite), stochastic by construction.
         mixed = [
-            AgentPolicy(i, (1.0 - damping) * jp.agents[i].table + damping * rows)
-            for i, rows in enumerate(responses)
+            AgentPolicy._unchecked(i, (1.0 - damping) * table + damping * rows)
+            for i, (table, rows) in enumerate(zip(tables, responses))
         ]
-        jp = JointPolicy(tuple(mixed))
+        jp = JointPolicy._unchecked(tuple(mixed))
     trace = None
     if records is not None:
-        from .haspi import SolveTrace
-
         trace = SolveTrace(iterations=records, status=status, sweeps=max(0, iterations - 1))
     return QreSolution(
         joint_policy=best_jp,

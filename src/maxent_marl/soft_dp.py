@@ -21,6 +21,7 @@ is V. Differences of two such tables give the soft advantage.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -94,6 +95,14 @@ class SoftQTable:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "alpha", float(self.alpha))
 
+    @classmethod
+    def _unchecked(cls, alpha: float, values: np.ndarray) -> "SoftQTable":
+        """A table the evaluation computed: a fresh 2-d float64 C array."""
+        values.flags.writeable = False
+        table = object.__new__(cls)
+        table.__dict__.update(alpha=float(alpha), values=values)
+        return table
+
 
 @dataclass(frozen=True, eq=False)
 class SoftValueTable:
@@ -163,12 +172,11 @@ def _policy_value(
 ) -> np.ndarray:
     """V(s) from the joint table, the soft Q values and the entropy bonus.
 
-    The average over the joint table is a batched matmul with its
-    warnings silenced, as in :func:`_policy_averages`; a NaN or inf it
-    makes reaches the caller, as it did with einsum.
+    The average over the joint table is a batched matmul. For a finite Q,
+    such as an evaluation's, it cannot warn; :func:`soft_value` silences
+    it for a Q the caller supplied, as in :func:`_policy_averages`.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        average = (joint[:, None, :] @ q_values[:, :, None])[:, 0, 0]
+    average = (joint[:, None, :] @ q_values[:, :, None])[:, 0, 0]
     return average + alpha * bonus
 
 
@@ -180,11 +188,14 @@ def _policy_averages(
     Both are batched matmuls, one (1 x A) @ (A x k) product per state, so
     they run in BLAS. An infinite or NaN entry at an action of probability
     zero gives 0 * inf = NaN there. matmul warns about that, and about an
-    overflowing sum, where einsum was silent; the warnings are silenced,
-    and the NaN or inf fails the bound of :func:`evaluate_policy_exact`.
+    overflowing sum, where einsum was silent; for a game without finite
+    row sums the warnings are silenced, and the NaN or inf fails the
+    bound of :func:`evaluate_policy_exact`. A game with them cannot warn
+    and runs the bare matmuls.
     """
     rows = joint[:, None, :]
-    with np.errstate(invalid="ignore", over="ignore"):
+    quiet = nullcontext() if game._finite_rows else np.errstate(invalid="ignore", over="ignore")
+    with quiet:
         rbar = (rows @ game.reward[:, :, None])[:, 0, 0]
         m = (rows @ game.transition)[:, 0, :]
     return rbar, m
@@ -204,9 +215,10 @@ def soft_value(
     """V(s) = E_{a~pi}[Q(s,a)] + alpha * sum_i H(pi^i(.|s))."""
     _check_shapes(game, q)
     _check_policy(game, joint_policy)
-    values = _policy_value(
-        joint_action_table(joint_policy), q.values, joint_policy.entropy_bonus, alpha
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = _policy_value(
+            joint_action_table(joint_policy), q.values, joint_policy.entropy_bonus, alpha
+        )
     return SoftValueTable(alpha, values)
 
 
@@ -303,7 +315,7 @@ def evaluate_policy_exact(
         raise RuntimeError(
             f"exact evaluation residual {bound:.3e} exceeds {_EXACT_RESIDUAL_TOL}"
         )
-    return SoftQTable(alpha, _backup(game, v))
+    return SoftQTable._unchecked(alpha, _backup(game, v))
 
 
 def _check_conditional(

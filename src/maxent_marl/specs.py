@@ -30,6 +30,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .common import SolveTrace
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -38,7 +39,6 @@ from .game_core import (
     uniform_joint_policy,
     validate_game,
 )
-from .haspi import SolveTrace
 from .mehaml import DRIFTS, NEIGHBORHOODS
 
 __all__ = [

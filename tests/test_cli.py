@@ -435,6 +435,50 @@ class TestCliInterface:
         assert main(["solve", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith("error: evaluation did not converge")
 
+    def test_sweep_branch_evaluation_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        # One branch's evaluation hits its cap and another fails otherwise;
+        # the sweep goes on, and exits 2 as solve does for the capped branch.
+        solve = cli.haspi_solve
+
+        def failing(game, start, options):
+            if options.alpha == 1.0:
+                raise EvaluationNotConverged(100_000, 3e-3)
+            if options.alpha == 2.0:
+                raise RuntimeError("boom")
+            return solve(game, start, options)
+
+        monkeypatch.setattr(cli, "haspi_solve", failing)
+        spec = {**HASPI_SPEC, "alpha": None, "alphas": [1.0, 2.0, 10.0], "name": "sw"}
+        path = write_json(tmp_path / "sw.json", spec)
+        assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
+        statuses = json.loads((tmp_path / "sw_sweep_summary.json").read_text())["statuses"]
+        assert statuses == {"1": "eval_max_iters", "2": "error", "10": "converged"}
+        del spec["alphas"][0]
+        path = write_json(tmp_path / "sw.json", spec)
+        assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ({"solver": "mehaml", "drift": {"name": "kl", "beta": 0.0}},
+             "mirror update produced a non-finite row"),
+            ({"solver": "mehaml", "drift": {"name": "trivial"},
+              "neighborhood": {"name": "kl_ball", "radius": 0.1}, "mode": "line_search"},
+             "mirror update produced a non-finite row"),
+            ({"solver": "masac"}, "Boltzmann update produced a non-finite row"),
+        ],
+        ids=["mehaml-kl", "mehaml-line-search", "masac"],
+    )
+    def test_non_finite_row_exit_code(self, tmp_path, capsys, solver, message):
+        # Finite rewards so large that the Boltzmann logits overflow.
+        spec_path = write_json(
+            tmp_path / "run.json",
+            {**solver, "game": {"matrix": [[1e308, 1e308], [1e308, 1e308]]}, "alpha": 0.001},
+        )
+        assert main(["solve", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_runtime_error_exit_code(self, tmp_path, capsys):
         # Finite rewards so large that the Boltzmann logits overflow.

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from maxent_marl import (
+    AgentPolicy,
     HaspiOptions,
+    JointPolicy,
     Permutation,
     SoftQTable,
     boltzmann_local_update,
@@ -36,7 +38,9 @@ from maxent_marl import (
     trivial_drift,
     uniform_joint_policy,
 )
-from maxent_marl.haspi import expected_conditional_q
+from maxent_marl import qre_oracle
+from maxent_marl.haspi import _boltzmann_rule, expected_conditional_q
+from maxent_marl.mehaml import _mirror_rule
 from conftest import random_start, suite_game, suite_params
 
 FIRST_UPDATE_COEFS = np.array([-5.0, -14.0, -12.0])
@@ -324,6 +328,71 @@ class TestSharedLoop:
                 assert rec.qre_residual == qre_residual(game, jp, alpha), name
                 assert rec.maxent_return == maxent_return(game, jp, alpha), name
                 assert rec.values.tobytes() == soft_value(game, jp, q, alpha).values.tobytes()
+
+
+class TestSolverBuiltPolicies:
+    """The solvers build their own rows without the public checks; those rows
+    must still pass them, and a non-finite row must fail with a named error."""
+
+    @pytest.mark.parametrize("params", TRACE_GAMES, ids=lambda p: f"game{p[0]}")
+    def test_record_tables_pass_public_validation(self, params):
+        k, n_agents, n_states, counts, gamma, alpha = params
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        start = random_start(game, k)
+        traces = {name: trace for name, (_p, trace) in solve_each_way(game, start, alpha, k, True).items()}
+        traces["qre-oracle"] = qre_fixed_point(
+            game, alpha, max_iters=300, initial_joint_policy=start, record_trace=True
+        ).trace
+        for name, trace in traces.items():
+            assert len(trace.iterations) > 2, name
+            for rec in trace.iterations:
+                for i, table in enumerate(rec.policies):
+                    assert not table.flags.writeable, name
+                    checked = AgentPolicy(i, table)
+                    assert checked.table.tobytes() == table.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (_boltzmann_rule, "Boltzmann update produced a non-finite row"),
+            (_mirror_rule(None, kl_drift(1.0), full_neighborhood(), "closed_form"),
+             "mirror update produced a non-finite row"),
+            (_mirror_rule(None, trivial_drift(), full_neighborhood(), "closed_form"),
+             "mirror update produced a non-finite row"),
+            (_mirror_rule(None, kl_drift(1.0), kl_ball(0.1), "line_search"),
+             "mirror update produced a non-finite row"),
+        ],
+        ids=["boltzmann", "mehaml-kl", "mehaml-trivial", "mehaml-line-search"],
+    )
+    def test_row_rules_reject_a_non_finite_row(self, rule, message):
+        game = random_game(3, 2, 2, (2, 3), -1.0, 1.0, 0.5)
+        jp = uniform_joint_policy(game)
+        coefficients = np.zeros((2, 3))
+        coefficients[1, 2] = np.nan
+        with pytest.raises(RuntimeError, match=message):
+            rule(jp, (), 1, coefficients, 1.0)
+
+    def test_oracle_rejects_a_non_finite_response(self, monkeypatch):
+        game = random_game(3, 2, 2, (2, 3), -1.0, 1.0, 0.5)
+
+        def nan_coefficients(game, joint_policy, q_values):
+            return [np.full((game.n_states, c), np.nan) for c in game.action_counts]
+
+        monkeypatch.setattr(qre_oracle, "_agent_coefficients", nan_coefficients)
+        with pytest.raises(RuntimeError, match="logit response produced a non-finite row"):
+            qre_fixed_point(game, 1.0)
+
+    def test_public_constructors_keep_their_checks(self):
+        with pytest.raises(ValueError, match="sums to"):
+            AgentPolicy(0, np.array([[0.5, 0.6]]))
+        with pytest.raises(ValueError, match="sums to"):
+            AgentPolicy(0, np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation((0, 0))
+        with pytest.raises(ValueError, match="agent at position 0 has agent_id 1"):
+            JointPolicy((AgentPolicy(1, np.array([[1.0]])),))
+        with pytest.raises(ValueError, match="must be 2-d"):
+            SoftQTable(1.0, np.zeros(3))
 
 
 def boundary_calls():

@@ -287,3 +287,32 @@ class TestUnilateralDeviation:
         assert qre_residual(game, sol.joint_policy, 1.0) <= 1e-8
         gain = unilateral_deviation_gain(game, sol.joint_policy, 1.0, grid_resolution=0.02)
         assert gain <= deviation_grid_slack(game, 1.0, 0.02)
+
+
+class TestSharedDefinitions:
+    def test_leaf_module_and_re_exports(self):
+        import ast
+        from pathlib import Path
+
+        import maxent_marl
+        from maxent_marl import common, haspi
+
+        assert haspi.IterationRecord is common.IterationRecord is maxent_marl.IterationRecord
+        assert haspi.SolveTrace is common.SolveTrace is maxent_marl.SolveTrace
+        assert boltzmann_rows is common.boltzmann_rows
+
+        def package_imports(module):
+            tree = ast.parse(Path(module.__file__).read_text())
+            found = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+            return tree, found
+
+        _tree, imports = package_imports(common)
+        assert not imports  # the leaf imports nothing from the package
+        tree, imports = package_imports(qre_oracle)
+        assert all(node in tree.body for node in imports)  # and the oracle no local import
+
+    def test_batched_rows_have_the_bits_of_single_calls(self):
+        coefficients = np.random.default_rng(3).normal(scale=30.0, size=(7, 4, 5))
+        batched = boltzmann_rows(coefficients, 0.3)
+        for k in range(7):
+            assert batched[k].tobytes() == boltzmann_rows(coefficients[k], 0.3).tobytes()

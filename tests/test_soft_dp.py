@@ -504,6 +504,25 @@ class TestPolicyAverages:
             with pytest.raises(RuntimeError, match="residual nan"):
                 evaluate_policy_exact(broken, jp, 1.0)
 
+    def test_soft_value_of_a_supplied_non_finite_q_is_silent(self):
+        game = suite_game(6, 2, 2, (2, 2), 0.9)
+        jp = joint_policy_from_rows([np.array([[1.0, 0.0], [1.0, 0.0]])] * 2)
+        values = np.zeros((2, 4))
+        values[0, 3] = np.inf  # joint action 3 has probability 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = soft_value(game, jp, SoftQTable(1.0, values), 1.0)
+        assert math.isnan(v.values[0]) and v.values[1] == 0.0
+
+    def test_finite_rows_is_cached_per_game(self):
+        game = suite_game(6, 2, 2, (2, 2), 0.9)
+        assert game._finite_rows is True and "_finite_rows" in vars(game)
+        reward = game.reward.copy()
+        reward[1, 2] = 1e308
+        reward[1, 3] = 1e308  # finite entries whose absolute row sum overflows
+        big = CooperativeMarkovGame(2, 2, (2, 2), reward, game.transition, 0.9, game.initial_dist)
+        assert big._finite_rows is False
+
     def test_averages_match_enumeration(self):
         shapes = 0
         for game, jp in average_shapes():
