@@ -31,6 +31,7 @@ from .game_core import (
     joint_action_table,
     sup_policy_distance,
 )
+from .soft_dp import _contract
 
 __all__ = [
     "BaselineOptions",
@@ -41,7 +42,6 @@ __all__ = [
 
 _ALGORITHMS = ("mappo", "happo")
 _UPDATE_MODES = ("argmax", "mirror")
-_AXIS_LETTERS = "abcdefghijk"
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,14 @@ def surrogate_coefficients(
     everyone else stays at the old policy.
     """
     _check_matrix_scope(game)
-    if game.n_agents > len(_AXIS_LETTERS):
-        raise ValueError("dense coefficients support at most 11 agents")
     joint = joint_action_table(joint_policy)[0]
     value = float(joint @ game.reward[0])
-    advantage = (game.reward[0] - value).reshape(game.action_counts)
+    advantage = game.reward - value
     updated = {p.agent_id: p for p in ratio_policies or ()}
     if agent in updated:
         raise ValueError(f"agent {agent} cannot appear in ratio_policies")
-    subscripts = [_AXIS_LETTERS[: game.n_agents]]
-    operands: list[np.ndarray] = [advantage]
-    for j in range(game.n_agents):
-        if j == agent:
-            continue
-        row = updated[j].table[0] if j in updated else joint_policy.agents[j].table[0]
-        subscripts.append(_AXIS_LETTERS[j])
-        operands.append(row)
-    out = _AXIS_LETTERS[agent]
-    return np.einsum(",".join(subscripts) + "->" + out, *operands)
+    mixed = tuple(updated.get(j, p) for j, p in enumerate(joint_policy.agents))
+    return _contract(game, JointPolicy._unchecked(mixed), advantage, (agent,))[0]
 
 
 def _argmax_row(coefficients: np.ndarray) -> np.ndarray:

@@ -207,16 +207,7 @@ class AgentPolicy:
 
         Computed together once, without a warning; both read-only.
         """
-        table = self.table
-        positive = table > 0.0
-        if positive.all():
-            log = np.log(table)
-            terms = table * log
-        else:
-            log = np.log(table, out=np.full(table.shape, -np.inf), where=positive)
-            # 0 * log 0 = 0: entries that are not positive add a zero term.
-            terms = np.multiply(table, log, out=np.zeros(table.shape), where=positive)
-        rows = -terms.sum(axis=1)
+        log, rows = _log_and_entropy(self.table)
         log.flags.writeable = False
         rows.flags.writeable = False
         return log, rows
@@ -426,8 +417,7 @@ def validate_game(game: CooperativeMarkovGame) -> list[str]:
 
 def policy_entropy(policy: AgentPolicy, s: int) -> float:
     """Shannon entropy in nats of the policy row at state s; 0*log 0 = 0."""
-    row = policy.table[s]
-    return float(_entropy(row))
+    return float(_log_and_entropy(policy.table[s])[1])
 
 
 def policy_entropy_rows(policy: AgentPolicy) -> np.ndarray:
@@ -438,10 +428,32 @@ def policy_entropy_rows(policy: AgentPolicy) -> np.ndarray:
     return policy._entropy_rows
 
 
-def _entropy(row: np.ndarray) -> float:
+def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p, -inf where p is not positive, and the entropy of every row.
+
+    The entropy -sum_a p(a) log p(a) runs over the last axis, with
+    0 log 0 = 0; no warning. The one entropy formula of the package.
+    """
+    positive = table > 0.0
+    if positive.all():
+        log = np.log(table)
+        terms = table * log
+    else:
+        log = np.log(table, out=np.full(table.shape, -np.inf), where=positive)
+        # 0 * log 0 = 0: entries that are not positive add a zero term.
+        terms = np.multiply(table, log, out=np.zeros(table.shape), where=positive)
+    return log, -terms.sum(axis=-1)
+
+
+def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of every row over the last axis, from p and log q.
+
+    0 log 0 = 0, and an entry with p > 0 where log q = -inf makes the row
+    infinite; no warning. The one KL formula of the package.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(row > 0.0, row * np.log(row), 0.0)
-    return float(-terms.sum())
+        terms = np.where(p > 0.0, p * (np.log(p) - log_q), 0.0)
+    return terms.sum(axis=-1)
 
 
 def joint_action_prob(

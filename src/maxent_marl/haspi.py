@@ -39,7 +39,9 @@ from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
     _check_conditional,
+    _check_shapes,
     _conditional_q,
+    _contract,
     _policy_value,
     _with_entropy,
     evaluate_policy_exact,
@@ -144,29 +146,6 @@ class HaspiOptions:
             raise ValueError("max_outer_iters must be at least 1")
 
 
-def _prefix_averaged(
-    game: CooperativeMarkovGame,
-    q_values: np.ndarray,
-    joint_policy_old: JointPolicy,
-    updated_prefix: Sequence[AgentPolicy],
-    agent: int,
-    alpha: float,
-    reuse: Optional[list[np.ndarray]] = None,
-) -> np.ndarray:
-    """The values of :func:`expected_conditional_q` for checked arguments.
-
-    With no updated prefix, the agent may ``reuse`` its contraction from
-    the trace's record: the entropy added back gives the same bits.
-    """
-    prefix = tuple(p.agent_id for p in updated_prefix) + (agent,)
-    if reuse is not None and not updated_prefix:
-        return _with_entropy(joint_policy_old, reuse[agent], prefix, alpha)
-    values = _conditional_q(game, joint_policy_old, q_values, prefix, alpha)
-    for policy in updated_prefix:
-        values = np.einsum("sa...,sa->s...", values, policy.table)
-    return values
-
-
 def expected_conditional_q(
     game: CooperativeMarkovGame,
     q_old: SoftQTable,
@@ -180,12 +159,34 @@ def expected_conditional_q(
     Conditions the old policy's table on (updated agents..., agent), then
     averages the updated agents' axes under their new rows. Agents outside
     the prefix stay at their old policies through the conditional table.
+    The sweeps compute the same coefficients in one contraction per agent
+    (:func:`_sweep_coefficients`); this chain is their reference.
     """
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     if agent in prefix_ids:
         raise ValueError(f"agent {agent} already appears in the updated prefix")
-    _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
-    return _prefix_averaged(game, q_old.values, joint_policy_old, updated_prefix, agent, alpha)
+    prefix = _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
+    values = _conditional_q(game, joint_policy_old, q_old.values, prefix, alpha)
+    for policy in updated_prefix:
+        values = np.einsum("sa...,sa->s...", values, policy.table)
+    return values
+
+
+def _sweep_coefficients(game, joint_policy_old, mixed, q_values, prefix, alpha, reuse=None):
+    """The coefficients of :func:`expected_conditional_q` in one contraction.
+
+    ``mixed`` holds the new rows of the updated agents ``prefix[:-1]`` and
+    the old rows of the rest. Averaging Q over all of them but the agent
+    ``prefix[-1]`` gives the chain's average, and the old rows' entropy
+    bonus is added back as the chain adds it. With no updated agent, the
+    contraction may be ``reuse``d from the trace's record: it is the same.
+    """
+    agent = prefix[-1]
+    if reuse is not None and len(prefix) == 1:
+        values = reuse[agent]
+    else:
+        values = _contract(game, JointPolicy._unchecked(tuple(mixed)), q_values, (agent,))
+    return _with_entropy(joint_policy_old, values, prefix, alpha)
 
 
 # (old joint policy, updated prefix, agent, coefficients, alpha) -> new policy.
@@ -240,8 +241,9 @@ def _sequential_sweep(
     agents = list(joint_policy.agents)
     updated: list[AgentPolicy] = []
     for agent in permutation.order:
-        coefficients = _prefix_averaged(game, q.values, joint_policy, updated, agent, alpha, reuse)
-        policy = rule(joint_policy, updated, agent, coefficients, alpha)
+        prefix = tuple(p.agent_id for p in updated) + (agent,)
+        coef = _sweep_coefficients(game, joint_policy, agents, q.values, prefix, alpha, reuse)
+        policy = rule(joint_policy, updated, agent, coef, alpha)
         updated.append(policy)
         agents[agent] = policy
     return JointPolicy._unchecked(tuple(agents))
@@ -258,7 +260,9 @@ def _simultaneous_sweep(
     """Update every agent against the old policies; (joint_policy, q) are checked."""
     agents = []
     for i in range(game.n_agents):
-        coefficients = _prefix_averaged(game, q.values, joint_policy, (), i, alpha, reuse)
+        coefficients = _sweep_coefficients(
+            game, joint_policy, joint_policy.agents, q.values, (i,), alpha, reuse
+        )
         agents.append(rule(joint_policy, (), i, coefficients, alpha))
     return JointPolicy._unchecked(tuple(agents))
 
@@ -269,13 +273,15 @@ def _evaluate(
     alpha: float,
     tol_eval: Optional[float] = None,
 ) -> SoftQTable:
-    """The policy's soft Q, exact or iterative at ``tol_eval``, checked for the sweeps."""
+    """The policy's soft Q, exact or iterative at ``tol_eval``.
+
+    The evaluation checks the policy against the game; the caller checks
+    the table's shape once per solve, as every iterate's has the same.
+    The contraction plan holds the dense bound of 11 agents.
+    """
     if tol_eval is None:
-        q = evaluate_policy_exact(game, joint_policy, alpha)
-    else:
-        q, _ = evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)
-    _check_conditional(game, joint_policy, q, ())
-    return q
+        return evaluate_policy_exact(game, joint_policy, alpha)
+    return evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)[0]
 
 
 def haspi_step(
@@ -292,6 +298,7 @@ def haspi_step(
     along the permutation, each conditioning on the prefix updated so far.
     """
     q = _evaluate(game, joint_policy, alpha, tol_eval)
+    _check_shapes(game, q)
     return _sequential_sweep(game, joint_policy, q, alpha, permutation)
 
 
@@ -303,6 +310,7 @@ def masac_step(
 ) -> JointPolicy:
     """Simultaneous variant: every agent updates against old teammates."""
     q = _evaluate(game, joint_policy, alpha, tol_eval)
+    _check_shapes(game, q)
     return _simultaneous_sweep(game, joint_policy, q, alpha)
 
 
@@ -323,8 +331,9 @@ def _policy_iteration_loop(
 
     Shared between the sequential, simultaneous and generalized (drift)
     solvers so that trivially-configured variants are iterate-for-iterate
-    identical under the same permutation seed. Each iterate (pi_k, Q_k)
-    is checked once. A traced iterate's one-agent contractions are reused
+    identical under the same permutation seed. Each iterate's policy is
+    checked once, by its evaluation, and the table's shape once per
+    solve. A traced iterate's one-agent contractions are reused
     by the next sweep's agents with no prefix and kept; they give the QRE
     residuals of up to ``_RESIDUAL_BATCH`` records in one softmax per agent.
     """
@@ -359,6 +368,7 @@ def _policy_iteration_loop(
         return coefficients
 
     q = _evaluate(game, jp, alpha, tol_eval)
+    _check_shapes(game, q)
     reuse = snapshot(0, None, 0.0, q)
     status = "max_iters"
     sweeps = 0

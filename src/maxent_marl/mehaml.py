@@ -34,7 +34,8 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
-    _entropy,
+    _kl_rows,
+    _log_and_entropy,
 )
 from .haspi import (
     HaspiOptions,
@@ -76,7 +77,7 @@ class DriftFunctional:
     exactly zero when the candidate equals the incumbent row, and flat to
     first order there. The updated-prefix argument lets a drift condition
     on teammates that moved earlier in the sweep; the instances shipped
-    here do not use it.
+    here do not use it. The line search reads drifts through :meth:`rows`.
     """
 
     name = "base"
@@ -92,6 +93,18 @@ class DriftFunctional:
     ) -> float:
         raise NotImplementedError
 
+    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
+        """The drift of ``candidate_rows[k]`` at state ``states[k]``, for every k.
+
+        Returns shape (len(states),). This default calls ``__call__`` once
+        per row, so a drift that implements only ``__call__`` works with
+        the line search. The drifts shipped here compute all rows at once,
+        and their ``__call__`` is the one-row case.
+        """
+        calls = zip(candidate_rows, states)
+        values = [self(game, joint_policy, agent, row, int(s), updated_prefix) for row, s in calls]
+        return np.array(values, dtype=np.float64)
+
 
 class TrivialDrift(DriftFunctional):
     """Identically zero; recovers the plain sequential Boltzmann update."""
@@ -99,7 +112,11 @@ class TrivialDrift(DriftFunctional):
     name = "trivial"
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        return 0.0
+        return float(self.rows(game, joint_policy, agent, [candidate_row], [state])[0])
+
+    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
+        """Zero for every row."""
+        return np.zeros(len(states))
 
 
 @dataclass(frozen=True)
@@ -115,11 +132,12 @@ class KlDrift(DriftFunctional):
             raise ValueError(f"KL drift coefficient must be finite and >= 0, got {self.beta}")
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        p = np.asarray(candidate_row, dtype=np.float64)
-        log_q = joint_policy.agents[agent]._log_table[state]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * (np.log(p) - log_q), 0.0)
-        return float(self.beta * terms.sum())
+        return float(self.rows(game, joint_policy, agent, [candidate_row], [state])[0])
+
+    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
+        """beta * KL against the incumbent's row at each state, from its cached log."""
+        p = np.asarray(candidate_rows, dtype=np.float64)
+        return self.beta * _kl_rows(p, joint_policy.agents[agent]._log_table[states])
 
 
 def kl_drift(beta_coef: float) -> KlDrift:
@@ -131,12 +149,26 @@ def trivial_drift() -> TrivialDrift:
 
 
 class NeighborhoodOperator:
-    """Feasible region around an incumbent row; must contain it."""
+    """Feasible region around an incumbent row; must contain it.
+
+    Subclasses implement ``contains``; the line search reads
+    neighborhoods through :meth:`contains_rows`.
+    """
 
     name = "base"
 
     def contains(self, current_row: np.ndarray, candidate_row: np.ndarray) -> bool:
         raise NotImplementedError
+
+    def contains_rows(self, current_rows: np.ndarray, candidate_rows: np.ndarray) -> np.ndarray:
+        """Whether ``candidate_rows[k]`` is feasible around ``current_rows[k]``, for every k.
+
+        Returns a boolean array of shape (len(candidate_rows),). This
+        default calls ``contains`` once per pair. The neighborhoods shipped
+        here test all rows at once, and their ``contains`` is the one-row case.
+        """
+        pairs = zip(current_rows, candidate_rows)
+        return np.array([bool(self.contains(c, x)) for c, x in pairs], dtype=bool)
 
 
 class FullNeighborhood(NeighborhoodOperator):
@@ -145,7 +177,11 @@ class FullNeighborhood(NeighborhoodOperator):
     name = "full"
 
     def contains(self, current_row, candidate_row):
-        return True
+        return bool(self.contains_rows([current_row], [candidate_row])[0])
+
+    def contains_rows(self, current_rows, candidate_rows):
+        """True for every row."""
+        return np.ones(len(candidate_rows), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -160,12 +196,13 @@ class KlBall(NeighborhoodOperator):
             raise ValueError(f"KL ball radius must be finite and positive, got {self.radius}")
 
     def contains(self, current_row, candidate_row):
-        p = np.asarray(candidate_row, dtype=np.float64)
-        q = np.asarray(current_row, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
-        value = float(terms.sum())
-        return np.isfinite(value) and value <= self.radius + 1e-12
+        return bool(self.contains_rows([current_row], [candidate_row])[0])
+
+    def contains_rows(self, current_rows, candidate_rows):
+        """A finite KL(candidate || current) of at most the radius, per row."""
+        log_q = _log_and_entropy(np.asarray(current_rows, dtype=np.float64))[0]
+        value = _kl_rows(np.asarray(candidate_rows, dtype=np.float64), log_q)
+        return np.isfinite(value) & (value <= self.radius + 1e-12)
 
 
 def kl_ball(radius: float) -> KlBall:
@@ -227,11 +264,19 @@ def mehamo_eval(
     """The mirror value of one candidate row at one state, by enumeration."""
     coef = expected_conditional_q(game, q, joint_policy, updated_prefix, agent, alpha)
     cand = np.asarray(candidate_row, dtype=np.float64)
-    return (
-        float(coef[s] @ cand)
-        + alpha * _entropy(cand)
-        - drift(game, joint_policy, agent, cand, s, updated_prefix)
-    )
+    drift_value = drift(game, joint_policy, agent, cand, s, updated_prefix)
+    return float(_mirror_values(coef[s], cand, alpha, drift_value))
+
+
+def _mirror_values(coef, rows, alpha, drift_values):
+    """coef . row + alpha * H(row) - drift, for one row or a stack of rows.
+
+    The linear term is a batched matmul, which gives each row the bits of
+    ``coef[s] @ row`` (an elementwise product summed over the last axis
+    does not).
+    """
+    linear = (coef[..., None, :] @ rows[..., :, None])[..., 0, 0]
+    return linear + alpha * _log_and_entropy(rows)[1] - drift_values
 
 
 def _kl_regularized_rows(
@@ -276,25 +321,26 @@ def _mirror_rule(
         if not needs_backtrack:
             return AgentPolicy._unchecked(agent, target)
 
-        def mirror_value(s: int, row: np.ndarray) -> float:
-            return (
-                float(coef[s] @ row)
-                + alpha * _entropy(row)
-                - drift(game, joint_policy_old, agent, row, s, updated_prefix)
-            )
+        def mirror_values(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            drift_values = drift.rows(game, joint_policy_old, agent, rows, states, updated_prefix)
+            return _mirror_values(coef[states], rows, alpha, drift_values)
 
-        rows = np.empty_like(target)
-        for s in range(game.n_states):
-            base = mirror_value(s, incumbent[s])
-            chosen = incumbent[s]
-            t = 1.0
-            while t > _BACKTRACK_FLOOR:
-                cand = (1.0 - t) * incumbent[s] + t * target[s]
-                if neighborhood.contains(incumbent[s], cand) and mirror_value(s, cand) >= base:
-                    chosen = cand
-                    break
-                t *= 0.5
-            rows[s] = chosen
+        # Every state backtracks from t = 1 at once; a state leaves the
+        # pending set at its first feasible step that does not lower its
+        # mirror value, and keeps its incumbent row if none does.
+        pending = np.arange(game.n_states)
+        base = mirror_values(pending, incumbent)
+        rows = incumbent.copy()
+        t = 1.0
+        while t > _BACKTRACK_FLOOR and pending.size:
+            current = incumbent[pending]
+            cand = (1.0 - t) * current + t * target[pending]
+            feasible = np.flatnonzero(neighborhood.contains_rows(current, cand))
+            states = pending[feasible]
+            accepted = feasible[mirror_values(states, cand[feasible]) >= base[states]]
+            rows[pending[accepted]] = cand[accepted]
+            pending = np.delete(pending, accepted)
+            t *= 0.5
         # Each row lies on the segment between two finite stochastic rows.
         return AgentPolicy._unchecked(agent, rows)
 

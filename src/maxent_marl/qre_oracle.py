@@ -29,6 +29,8 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
+    _kl_rows,
+    _log_and_entropy,
     joint_action_table,
     sup_policy_distance,
     uniform_joint_policy,
@@ -37,6 +39,7 @@ from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
     _check_conditional,
+    _check_shapes,
     _contract,
     _policy_value,
     evaluate_policy_exact,
@@ -170,8 +173,9 @@ def qre_fixed_point(
     streaks = no_streaks
     step = np.inf  # ||pi_k - pi_{k-1}|| = damping * previous residual
     for k in range(max_iters):
-        q = evaluate_policy_exact(game, jp, alpha)
-        _check_conditional(game, jp, q, ())
+        q = evaluate_policy_exact(game, jp, alpha)  # checks the policy
+        if k == 0:
+            _check_shapes(game, q)  # every iterate's table has this shape
         tables = _tables(jp)
         responses, gap = _logit_responses(tables, _agent_coefficients(game, jp, q.values), alpha)
         residual = float(gap)
@@ -274,9 +278,7 @@ def joint_kl_objective(
         raise ValueError("soft Q shape does not match game")
     target = boltzmann_rows(q_old.values[s], alpha)
     p = joint_action_table(candidate_joint_policy)[s]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * (np.log(p) - np.log(target)), 0.0)
-    return float(terms.sum())
+    return float(_kl_rows(p, _log_and_entropy(target)[0]))
 
 
 def _simplex_grid(n_actions: int, resolution: float) -> np.ndarray:

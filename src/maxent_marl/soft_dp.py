@@ -332,8 +332,6 @@ def _check_conditional(
         raise ValueError(f"prefix {prefix} contains a duplicate agent")
     if any(i < 0 or i >= game.n_agents for i in prefix):
         raise ValueError(f"prefix {prefix} is out of range for {game.n_agents} agents")
-    if game.n_agents > len(_AXIS_LETTERS):
-        raise ValueError("dense conditionals support at most 11 agents")
     return prefix
 
 
@@ -354,9 +352,12 @@ def _conditional_plan(
     agent order), so that each table shrinks the tensor as much as it can
     before the next one is applied. That is the order the greedy search
     of ``np.einsum_path`` picks for these operands. The plan depends on
-    the shape alone and is built once per (action counts, prefix).
+    the shape alone and is built once per (action counts, prefix); a game
+    of more agents than there are axis letters has none.
     """
     n_agents = len(action_counts)
+    if n_agents > len(_AXIS_LETTERS):
+        raise ValueError("dense conditionals support at most 11 agents")
     complement = tuple(i for i in range(n_agents) if i not in prefix)
     running = "s" + _AXIS_LETTERS[:n_agents]
     out = "s" + "".join(_AXIS_LETTERS[i] for i in prefix)
@@ -391,13 +392,17 @@ def _contract(
 def _with_entropy(
     joint_policy: JointPolicy, values: np.ndarray, prefix: tuple[int, ...], alpha: float
 ) -> np.ndarray:
-    """Add alpha * sum_{i not in prefix} H(pi^i(.|s)) to a contraction."""
+    """Add alpha * sum_{i not in prefix} H(pi^i(.|s)) to a contraction.
+
+    ``values`` has a state axis first; the bonus is constant along the
+    others, which may be fewer than the prefix has agents.
+    """
     complement = [i for i in range(joint_policy.n_agents) if i not in prefix]
     if complement:
         bonus = np.zeros(joint_policy.n_states)
         for i in complement:
             bonus += policy_entropy_rows(joint_policy.agents[i])
-        values = values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
+        values = values + alpha * bonus.reshape((-1,) + (1,) * (values.ndim - 1))
     # With the full prefix the einsum result is a transposed view. Callers
     # average over its axes, and in that memory order the sums would round
     # differently, so hand back the C layout.

@@ -471,6 +471,7 @@ def trace_csv_lines(trace: SolveTrace, game: CooperativeMarkovGame) -> list[str]
     """CSV body for a trace: :func:`trace_csv_header`, then one row per record.
 
     The permutation is pipe-joined agent indices, empty when untracked.
+    A NaN scalar is an empty cell; policy cells are finite.
     """
     lines = [trace_csv_header(game)]
     for rec in trace.iterations:
@@ -482,7 +483,7 @@ def trace_csv_lines(trace: SolveTrace, game: CooperativeMarkovGame) -> list[str]
             "" if rec.permutation is None else "|".join(map(str, rec.permutation)),
         ]
         for table in rec.policies:
-            row.extend(_fmt(v) for v in table.ravel())
+            row.extend(map(repr, table.ravel().tolist()))
         lines.append(",".join(row))
     return lines
 

@@ -7,6 +7,7 @@ from maxent_marl import (
     AgentPolicy,
     BaselineOptions,
     HaspiOptions,
+    JointPolicy,
     baseline_run,
     baseline_step,
     fixed_order,
@@ -40,6 +41,27 @@ class TestSurrogateCoefficients:
         coef = surrogate_coefficients(game, jp, 0)
         assert np.allclose(coef, coef[0], atol=1e-14)
         assert coef[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_mixed_policy_contraction_matches_a_one_shot_einsum(self):
+        # Reference: the advantage averaged over every other agent in one
+        # einsum, new rows for the ratio policies, old rows for the rest.
+        game = random_game(3, 3, 1, [2, 3, 4], -1, 1, 0.0)
+        rng = np.random.default_rng(3)
+        tables = [rng.dirichlet(np.ones(c), size=1) for c in game.action_counts]
+        jp = JointPolicy(tuple(AgentPolicy(i, t) for i, t in enumerate(tables)))
+        moved = AgentPolicy(2, rng.dirichlet(np.ones(4), size=1))
+        value = float(joint_action_table(jp)[0] @ game.reward[0])
+        advantage = (game.reward[0] - value).reshape(game.action_counts)
+        a, b, c = (t[0] for t in tables)
+        cases = {
+            (0, ()): np.einsum("abc,b,c->a", advantage, b, c),
+            (1, (moved,)): np.einsum("abc,a,c->b", advantage, a, moved.table[0]),
+            (0, (moved,)): np.einsum("abc,b,c->a", advantage, b, moved.table[0]),
+        }
+        for (agent, ratio), expected in cases.items():
+            got = surrogate_coefficients(game, jp, agent, ratio)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-15
 
     def test_multi_state_rejected(self, start_policy):
         game = random_game(0, 2, 2, [3, 3], -1, 1, 0.5)

@@ -634,7 +634,32 @@ class TestCliInterface:
         assert (tmp_path / "envout" / "run_trace.csv").exists()
 
 
+# replication_table.csv of replicate-appendix-b, byte for byte once each
+# line ends in CRLF: README promises these bytes from one version to the
+# next ("Outputs across versions").
+REPLICATION_TABLE_CSV = (
+    "alpha,p1_first,p2_first,p3_first,p1_conv,p2_conv,p3_conv\n"
+    "1,0.9989657789508989,0.00012328217106962768,0.0009109388780314432,"
+    "0.999999999972224,1.3887943880008331e-11,1.3887943881937077e-11\n"
+    "2,0.9603321551125756,0.010668326586708377,0.02899951830071589,"
+    "0.9999925455684769,3.7271810289505953e-06,3.7272504941682234e-06\n"
+    "5,0.7082675386204164,0.11707583669739441,0.1746566246821892,"
+    "0.9849096256652289,0.007485084170769631,0.0076052901640014355\n"
+    "10,0.5254432871531017,0.21362929847081846,0.26092741437607986,"
+    "0.022094520669036857,0.022357596035771983,0.9555478832951912\n"
+    "15,0.45957979156866885,0.2522227373265528,0.28819747110477834,"
+    "0.127817312668257,0.13542595905202592,0.7367567282797172\n"
+    "20,0.4269278342311749,0.27222120581671094,0.30085095995211425,"
+    "0.2513606136422248,0.27898851746620046,0.46965086889157465\n"
+)
+
+
 class TestReplication:
+    def test_table_bytes_are_pinned(self, tmp_path):
+        replicate_appendix_b(out_dir=tmp_path)
+        written = (tmp_path / "replication_table.csv").read_bytes()
+        assert written == REPLICATION_TABLE_CSV.replace("\n", "\r\n").encode()
+
     def test_full_table_within_tolerance(self, tmp_path):
         rows, mismatches = replicate_appendix_b(out_dir=tmp_path)
         assert mismatches == []

@@ -1,5 +1,6 @@
 """Sequential and simultaneous Boltzmann policy iteration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -35,11 +36,18 @@ from maxent_marl import (
     random_order,
     soft_value,
     sup_policy_distance,
+    surrogate_coefficients,
     trivial_drift,
     uniform_joint_policy,
 )
 from maxent_marl import qre_oracle
-from maxent_marl.haspi import _boltzmann_rule, expected_conditional_q
+from maxent_marl.haspi import (
+    _boltzmann_rule,
+    _sequential_sweep,
+    _simultaneous_sweep,
+    expected_conditional_q,
+)
+from maxent_marl.soft_dp import _agent_coefficients
 from maxent_marl.mehaml import _mirror_rule
 from conftest import random_start, suite_game, suite_params
 
@@ -330,6 +338,72 @@ class TestSharedLoop:
                 assert rec.values.tobytes() == soft_value(game, jp, q, alpha).values.tobytes()
 
 
+def sweep_coefficients(game, jp, q, alpha, order, reuse):
+    """Each agent's (updated prefix, agent, coefficients) in one sweep."""
+    seen = []
+
+    def rule(joint_policy_old, updated, agent, coefficients, alpha):
+        seen.append((list(updated), agent, coefficients))
+        return _boltzmann_rule(joint_policy_old, updated, agent, coefficients, alpha)
+
+    if order is None:
+        _simultaneous_sweep(game, jp, q, alpha, rule, reuse)
+    else:
+        _sequential_sweep(game, jp, q, alpha, Permutation(order), rule, reuse)
+    return seen
+
+
+# 4 agents x 4 actions: 256 joint actions, so one-agent conditionals contract
+# pairwise (see soft_dp._conditional_plan).
+PAIRWISE_GAME = (random_game(4444, 4, 3, (4, 4, 4, 4), -1.0, 1.0, 0.9), 44, 1.0)
+
+
+def coefficient_games():
+    for k, n_agents, n_states, counts, gamma, alpha in TRACE_GAMES:
+        yield suite_game(k, n_agents, n_states, counts, gamma), k, alpha
+    yield PAIRWISE_GAME
+
+
+class TestSweepCoefficients:
+    """A sweep averages Q over the mixed policy (new rows for the updated
+    prefix, old rows for the rest) in one contraction per agent; the public
+    prefix chain of expected_conditional_q is the reference."""
+
+    @pytest.mark.parametrize(
+        "case", list(coefficient_games()), ids=["game4", "game7", "game12", "pairwise"]
+    )
+    def test_every_permutation_prefix_matches_the_chain(self, case):
+        game, k, alpha = case
+        jp = random_start(game, k)
+        q = evaluate_policy_exact(game, jp, alpha)
+        checked = 0
+        for reuse in (None, _agent_coefficients(game, jp, q.values)):
+            for order in itertools.permutations(range(game.n_agents)):
+                for updated, agent, coef in sweep_coefficients(game, jp, q, alpha, order, reuse):
+                    expected = expected_conditional_q(game, q, jp, updated, agent, alpha)
+                    assert coef.shape == expected.shape
+                    if updated:
+                        assert np.abs(coef - expected).max() <= 1e-12
+                    else:  # the same contraction, reused or not
+                        assert coef.tobytes() == expected.tobytes()
+                    checked += 1
+        assert checked == 2 * math.factorial(game.n_agents) * game.n_agents
+
+    @pytest.mark.parametrize(
+        "case", list(coefficient_games()), ids=["game4", "game7", "game12", "pairwise"]
+    )
+    def test_simultaneous_sweep_is_the_empty_prefix(self, case):
+        game, k, alpha = case
+        jp = random_start(game, k)
+        q = evaluate_policy_exact(game, jp, alpha)
+        for reuse in (None, _agent_coefficients(game, jp, q.values)):
+            seen = sweep_coefficients(game, jp, q, alpha, None, reuse)
+            assert [agent for _u, agent, _c in seen] == list(range(game.n_agents))
+            for updated, agent, coef in seen:
+                expected = expected_conditional_q(game, q, jp, updated, agent, alpha)
+                assert coef.tobytes() == expected.tobytes()
+
+
 class TestSolverBuiltPolicies:
     """The solvers build their own rows without the public checks; those rows
     must still pass them, and a non-finite row must fail with a named error."""
@@ -452,3 +526,20 @@ class TestBoundaryChecks:
         jp = uniform_joint_policy(self.game)
         with pytest.raises(ValueError, match="does not cover 2 agents"):
             haspi_step(self.game, jp, 1.0, Permutation(order))
+
+    def test_dense_bound_of_eleven_agents(self):
+        # The contraction plan holds the bound; every solver and the
+        # baselines' coefficients reach it before any sweep or update.
+        game = random_game(0, 12, 1, (1,) * 11 + (2,), -1.0, 1.0, 0.0)
+        jp = uniform_joint_policy(game)
+        calls = [
+            lambda: haspi_solve(game, jp, HaspiOptions(alpha=1.0)),
+            lambda: masac_solve(game, jp, HaspiOptions(alpha=1.0, record_trace=False)),
+            lambda: mehaml_solve(game, jp, 1.0, kl_drift(1.0), full_neighborhood()),
+            lambda: haspi_step(game, jp, 1.0, Permutation(tuple(range(12)))),
+            lambda: qre_fixed_point(game, 1.0),
+            lambda: surrogate_coefficients(game, jp, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="at most 11 agents"):
+                call()

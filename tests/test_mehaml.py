@@ -27,7 +27,17 @@ from maxent_marl import (
     uniform_joint_policy,
     uniform_state_weighting,
 )
-from maxent_marl.mehaml import DRIFTS, NEIGHBORHOODS, DriftFunctional, StateWeighting
+from maxent_marl.common import boltzmann_rows
+from maxent_marl.haspi import expected_conditional_q
+from maxent_marl.mehaml import (
+    DRIFTS,
+    NEIGHBORHOODS,
+    DriftFunctional,
+    KlDrift,
+    StateWeighting,
+    _kl_regularized_rows,
+    _mirror_rule,
+)
 from conftest import random_start, suite_game, suite_params
 
 
@@ -225,6 +235,86 @@ class TestMehamlLocalUpdate:
         row = start_policy.agents[0].table[0]
         assert full_neighborhood().contains(row, row)
         assert kl_ball(1e-6).contains(row, row)
+
+
+def reference_line_search(game, jp, agent, coef, target, alpha, drift, hood, updated):
+    """The per-state backtracking loop: each state's row and accepted step
+    (0 where the incumbent row is kept)."""
+    incumbent = jp.agents[agent].table
+
+    def mirror_value(s, row):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy = -np.where(row > 0.0, row * np.log(row), 0.0).sum()
+        return float(coef[s] @ row) + alpha * entropy - drift(game, jp, agent, row, s, updated)
+
+    rows, steps = np.empty_like(incumbent), []
+    for s in range(game.n_states):
+        base = mirror_value(s, incumbent[s])
+        rows[s], step = incumbent[s], 0.0
+        t = 1.0
+        while t > 1e-12:
+            cand = (1.0 - t) * incumbent[s] + t * target[s]
+            if hood.contains(incumbent[s], cand) and mirror_value(s, cand) >= base:
+                rows[s], step = cand, t
+                break
+            t *= 0.5
+        steps.append(step)
+    return rows, steps
+
+
+class TestWholeTableLineSearch:
+    """The line search backtracks every state at once; a per-state loop over
+    the drift's __call__ and the neighborhood's contains is the reference."""
+
+    @pytest.mark.parametrize(
+        "drift, hood",
+        [
+            (kl_drift(1.0), kl_ball(0.02)),
+            (TotalVariationDrift(), full_neighborhood()),
+            (trivial_drift(), kl_ball(0.02)),
+        ],
+        ids=["kl-kl_ball", "tv-full", "trivial-kl_ball"],
+    )
+    def test_same_step_and_rows_as_a_per_state_loop(self, drift, hood):
+        steps = set()
+        for k, n_agents, n_states, counts, gamma, alpha in suite_params(15):
+            if n_states < 3:
+                continue
+            game = suite_game(k, n_agents, n_states, counts, gamma)
+            jp = random_start(game, k)
+            q = evaluate_policy_exact(game, jp, alpha)
+            rule = _mirror_rule(game, drift, hood, "line_search")
+            updated = []
+            for agent in range(n_agents):
+                coef = expected_conditional_q(game, q, jp, updated, agent, alpha)
+                if isinstance(drift, KlDrift):
+                    target = _kl_regularized_rows(coef, jp.agents[agent], alpha, drift.beta)
+                else:
+                    target = boltzmann_rows(coef, alpha)
+                expected, chosen = reference_line_search(
+                    game, jp, agent, coef, target, alpha, drift, hood, updated
+                )
+                got = rule(jp, updated, agent, coef, alpha)
+                assert got.table.tobytes() == expected.tobytes()
+                steps.update(chosen)
+                updated.append(got)
+        # Full steps, shorter steps and kept rows all occur.
+        assert 1.0 in steps and len(steps) > 2
+
+    def test_row_forms_match_the_per_state_forms(self):
+        game = suite_game(4, 2, 5, (2, 3), 0.5)
+        jp = random_start(game, 4)
+        rows = random_start(game, 40).agents[1].table
+        states = np.arange(game.n_states)
+        incumbent = jp.agents[1].table
+        for drift in (kl_drift(0.7), trivial_drift(), TotalVariationDrift()):
+            got = drift.rows(game, jp, 1, rows, states)
+            expected = [drift(game, jp, 1, rows[s], s) for s in states]
+            assert got.tolist() == expected
+        for hood in (kl_ball(0.05), kl_ball(10.0), full_neighborhood()):
+            got = hood.contains_rows(incumbent, rows)
+            assert got.dtype == bool
+            assert got.tolist() == [hood.contains(incumbent[s], rows[s]) for s in states]
 
 
 class TestMehamlSolve:
