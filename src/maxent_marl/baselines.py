@@ -101,8 +101,8 @@ def surrogate_coefficients(
     updated = {p.agent_id: p for p in ratio_policies or ()}
     if agent in updated:
         raise ValueError(f"agent {agent} cannot appear in ratio_policies")
-    mixed = tuple(updated.get(j, p) for j, p in enumerate(joint_policy.agents))
-    return _contract(game, JointPolicy._unchecked(mixed), advantage, (agent,))[0]
+    mixed = [updated.get(j, p).table for j, p in enumerate(joint_policy.agents)]
+    return _contract(game, mixed, advantage, (agent,))[0]
 
 
 def _argmax_row(coefficients: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .game_core import (
 )
 from .soft_dp import (
     SoftQTable,
-    _agent_coefficients,
     _check_conditional,
     _check_shapes,
     _conditional_q,
@@ -179,13 +178,14 @@ def _sweep_coefficients(game, joint_policy_old, mixed, q_values, prefix, alpha, 
     the old rows of the rest. Averaging Q over all of them but the agent
     ``prefix[-1]`` gives the chain's average, and the old rows' entropy
     bonus is added back as the chain adds it. With no updated agent, the
-    contraction may be ``reuse``d from the trace's record: it is the same.
+    contraction may be ``reuse``d from the trace's flush at this iterate:
+    it is the same, bit for bit.
     """
     agent = prefix[-1]
     if reuse is not None and len(prefix) == 1:
         values = reuse[agent]
     else:
-        values = _contract(game, JointPolicy._unchecked(tuple(mixed)), q_values, (agent,))
+        values = _contract(game, [p.table for p in mixed], q_values, (agent,))
     return _with_entropy(joint_policy_old, values, prefix, alpha)
 
 
@@ -315,9 +315,13 @@ def masac_step(
 
 
 # Traced iterates whose QRE residuals are computed together: enough to spread
-# the per-call cost of the softmax thin, few enough to keep the contractions
-# held for them small.
+# the per-call cost of the contractions and the softmax thin, few enough to
+# keep what is held for them small.
 _RESIDUAL_BATCH = 64
+# The records awaiting their contractions hold at most this many bytes of
+# soft Q between them. A solve whose Q alone is larger, such as a 5 x 5 x 20
+# game's 0.5 MB, contracts every record at its own snapshot, unstacked.
+_PENDING_Q_BYTES = 256 * 1024
 
 
 def _policy_iteration_loop(
@@ -333,24 +337,45 @@ def _policy_iteration_loop(
     solvers so that trivially-configured variants are iterate-for-iterate
     identical under the same permutation seed. Each iterate's policy is
     checked once, by its evaluation, and the table's shape once per
-    solve. A traced iterate's one-agent contractions are reused
-    by the next sweep's agents with no prefix and kept; they give the QRE
-    residuals of up to ``_RESIDUAL_BATCH`` records in one softmax per agent.
+    solve.
+
+    A traced iterate's record waits, holding its read-only Q, until a
+    flush contracts it (:func:`_record_contractions`). A flush comes at
+    ``_RESIDUAL_BATCH`` waiting records, or earlier when one more Q would
+    take them past ``_PENDING_Q_BYTES``. Every Q of a solve has the same
+    size, so the flush size is fixed per solve, and a flush always ends at
+    the current iterate: the next sweep reuses that iterate's one-agent
+    contractions for its agents with no prefix. After an iterate that did
+    not flush, the sweep contracts for itself, as in an untraced run, to
+    the same bits. The contracted records then wait for their residuals,
+    up to ``_RESIDUAL_BATCH`` of them, to share one softmax per agent
+    (:func:`_with_residuals`).
     """
     alpha = options.alpha
     tol_eval = options.tol_eval if options.eval_method == "iterative" else None
     jp = initial_joint_policy
     sampler = options.permutation_rule.sampler(game.n_agents)
     records: list[IterationRecord] = []
-    # Each traced iterate's record fields but the residual, and its contractions.
-    pending: list[tuple[dict, list[np.ndarray]]] = []
+    # Traced iterates: their record fields but the residual, and their soft Q.
+    pending: list[tuple[dict, np.ndarray]] = []
+    # Contracted flushes awaiting their residuals (see _record_contractions).
+    contracted: list[tuple[list[dict], list[np.ndarray], list[np.ndarray]]] = []
+
+    def flush() -> list[np.ndarray]:
+        contracted.append(_record_contractions(game, pending))
+        pending.clear()
+        coefficients = contracted[-1][2]
+        # Every flush but the last of a solve holds ``batch`` records.
+        if (len(contracted) + 1) * batch > _RESIDUAL_BATCH:
+            records.extend(_with_residuals(contracted, game.n_agents, alpha))
+            contracted.clear()
+        return [c[-1] for c in coefficients]
 
     def snapshot(
         k: int, perm: Optional[Permutation], change: float, q: SoftQTable
     ) -> Optional[list[np.ndarray]]:
         if not options.record_trace:
             return None
-        coefficients = _agent_coefficients(game, jp, q.values)
         values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
         values.flags.writeable = False
         fields = dict(
@@ -361,14 +386,12 @@ def _policy_iteration_loop(
             values=values,
             policies=tuple(a.table for a in jp.agents),
         )
-        pending.append((fields, coefficients))
-        if len(pending) == _RESIDUAL_BATCH:
-            records.extend(_with_residuals(pending, game.n_agents, alpha))
-            pending.clear()
-        return coefficients
+        pending.append((fields, q.values))
+        return flush() if len(pending) == batch else None
 
     q = _evaluate(game, jp, alpha, tol_eval)
     _check_shapes(game, q)
+    batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // q.values.nbytes))
     reuse = snapshot(0, None, 0.0, q)
     status = "max_iters"
     sweeps = 0
@@ -387,20 +410,53 @@ def _policy_iteration_loop(
         if change < options.tol_policy:
             status = "converged"
             break
-    records.extend(_with_residuals(pending, game.n_agents, alpha))
+    if pending:
+        flush()
+    records.extend(_with_residuals(contracted, game.n_agents, alpha))
     return jp, q, SolveTrace(iterations=records, status=status, sweeps=sweeps)
 
 
+def _record_contractions(
+    game: CooperativeMarkovGame, pending: list[tuple[dict, np.ndarray]]
+) -> tuple[list[dict], list[np.ndarray], list[np.ndarray]]:
+    """The pending records' fields, and per agent their policy tables and
+    one-agent contractions, stacked on a leading axis.
+
+    One batched :func:`_contract` per agent serves every record, each with
+    the bits of its own unbatched call, on which the sweeps' ``reuse``
+    relies. A single record is contracted unstacked.
+    """
+    n_agents = game.n_agents
+    fields = [f for f, _ in pending]
+    if len(pending) == 1:
+        policies, q_values = fields[0]["policies"], pending[0][1]
+        tables = [t[None] for t in policies]
+        coefficients = [_contract(game, policies, q_values, (i,))[None] for i in range(n_agents)]
+    else:
+        tables = [np.stack([f["policies"][i] for f in fields]) for i in range(n_agents)]
+        q_values = np.stack([q for _, q in pending])
+        coefficients = [_contract(game, tables, q_values, (i,)) for i in range(n_agents)]
+    return fields, tables, coefficients
+
+
 def _with_residuals(
-    pending: list[tuple[dict, list[np.ndarray]]], n_agents: int, alpha: float
+    contracted: list[tuple[list[dict], list[np.ndarray], list[np.ndarray]]],
+    n_agents: int,
+    alpha: float,
 ) -> list[IterationRecord]:
-    """The records, each QRE residual from the iterates stacked per agent."""
-    if not pending:
+    """The records of the contracted flushes, each QRE residual from one
+    softmax per agent over all of them."""
+    if not contracted:
         return []
-    tables = [np.stack([f["policies"][i] for f, _ in pending]) for i in range(n_agents)]
-    coefficients = [np.stack([coef[i] for _, coef in pending]) for i in range(n_agents)]
+
+    def joined(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    fields = [f for chunk, _, _ in contracted for f in chunk]
+    tables = [joined([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
+    coefficients = [joined([c[i] for _, _, c in contracted]) for i in range(n_agents)]
     residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
-    return [IterationRecord(**f, qre_residual=r) for (f, _), r in zip(pending, residuals)]
+    return [IterationRecord(**f, qre_residual=r) for f, r in zip(fields, residuals)]
 
 
 def haspi_solve(

@@ -42,6 +42,7 @@ from .soft_dp import (
     _check_shapes,
     _contract,
     _policy_value,
+    _tables,
     evaluate_policy_exact,
     maxent_return,
 )
@@ -89,12 +90,8 @@ def logit_response(
     if q is None:
         q = evaluate_policy_exact(game, joint_policy, alpha)
     prefix = _check_conditional(game, joint_policy, q, (agent,))
-    coef = _contract(game, joint_policy, q.values, prefix)
+    coef = _contract(game, _tables(joint_policy), q.values, prefix)
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
-
-
-def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
-    return [agent.table for agent in joint_policy.agents]
 
 
 def qre_residual(

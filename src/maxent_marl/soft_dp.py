@@ -318,6 +318,10 @@ def evaluate_policy_exact(
     return SoftQTable._unchecked(alpha, _backup(game, v))
 
 
+def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
+    return [agent.table for agent in joint_policy.agents]
+
+
 def _check_conditional(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -374,18 +378,50 @@ def _conditional_plan(
     return tuple(steps), complement
 
 
+# The leading batch axis of a stacked contraction (see _batched_plan): not an
+# axis letter, and not the state letter.
+_BATCH_LETTER = "z"
+
+
+@lru_cache(maxsize=4096)
+def _batched_plan(
+    action_counts: tuple[int, ...], prefix: tuple[int, ...]
+) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], tuple[int, ...]]:
+    """:func:`_conditional_plan` with a leading batch axis on every operand.
+
+    ``"sabc,sb,sc->sa"`` becomes ``"zsabc,zsb,zsc->zsa"``. The batch axis
+    has its own letter: an ellipsis in the shared subscripts would let one
+    plan serve both forms, but it cost about 1 us on each unbatched call.
+    """
+    steps, complement = _conditional_plan(action_counts, prefix)
+    batched = []
+    for subscripts, agents in steps:
+        inputs, output = subscripts.split("->")
+        terms = ",".join(_BATCH_LETTER + term for term in inputs.split(","))
+        batched.append((f"{terms}->{_BATCH_LETTER}{output}", agents))
+    return tuple(batched), complement
+
+
 def _contract(
     game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
+    tables: Sequence[np.ndarray],
     q_values: np.ndarray,
     prefix: tuple[int, ...],
 ) -> np.ndarray:
     """E_{a^rest ~ pi}[Q(s, a)] over the agents outside a checked prefix:
-    the conditional of :func:`multiagent_soft_q` without their entropy."""
-    steps, _complement = _conditional_plan(game.action_counts, prefix)
-    values = q_values.reshape(game.n_states, *game.action_counts)
+    the conditional of :func:`multiagent_soft_q` without their entropy.
+
+    ``tables`` holds every agent's policy table. A 3-d ``q_values`` and
+    3-d tables carry one leading batch axis, such as the iterates of a
+    solve stacked on axis 0; the result then has it too. Each member has
+    the bits of an unbatched call on it: ``np.einsum`` does not promise
+    that, so the tests check it on every suite shape.
+    """
+    plan = _batched_plan if q_values.ndim == 3 else _conditional_plan
+    steps, _complement = plan(game.action_counts, prefix)
+    values = q_values.reshape(*q_values.shape[:-1], *game.action_counts)
     for subscripts, agents in steps:
-        values = np.einsum(subscripts, values, *(joint_policy.agents[i].table for i in agents))
+        values = np.einsum(subscripts, values, *(tables[i] for i in agents))
     return values
 
 
@@ -417,7 +453,7 @@ def _conditional_q(
     alpha: float,
 ) -> np.ndarray:
     """The values of :func:`multiagent_soft_q` for checked arguments."""
-    values = _contract(game, joint_policy, q_values, prefix)
+    values = _contract(game, _tables(joint_policy), q_values, prefix)
     return _with_entropy(joint_policy, values, prefix, alpha)
 
 
@@ -429,7 +465,8 @@ def _agent_coefficients(
     Checked arguments. The others' entropy, constant in a^i, is left out;
     :func:`_with_entropy` adds it back bit for bit where it is needed.
     """
-    return [_contract(game, joint_policy, q_values, (i,)) for i in range(game.n_agents)]
+    tables = _tables(joint_policy)
+    return [_contract(game, tables, q_values, (i,)) for i in range(game.n_agents)]
 
 
 def multiagent_soft_q(

@@ -40,14 +40,14 @@ from maxent_marl import (
     trivial_drift,
     uniform_joint_policy,
 )
-from maxent_marl import qre_oracle
+from maxent_marl import haspi, qre_oracle
 from maxent_marl.haspi import (
     _boltzmann_rule,
     _sequential_sweep,
     _simultaneous_sweep,
     expected_conditional_q,
 )
-from maxent_marl.soft_dp import _agent_coefficients
+from maxent_marl.soft_dp import _agent_coefficients, _contract
 from maxent_marl.mehaml import _mirror_rule
 from conftest import random_start, suite_game, suite_params
 
@@ -402,6 +402,156 @@ class TestSweepCoefficients:
             for updated, agent, coef in seen:
                 expected = expected_conditional_q(game, q, jp, updated, agent, alpha)
                 assert coef.tobytes() == expected.tobytes()
+
+
+def record_bytes(runs):
+    """Every field of every record, and the final tables, of each solver's run."""
+    out = {}
+    for name, (policy, trace) in runs.items():
+        fields = [(trace.status, trace.sweeps)]
+        for rec in trace.iterations:
+            fields.append((
+                rec.iteration, rec.permutation, repr(rec.policy_change),
+                repr(rec.maxent_return), repr(rec.qre_residual), rec.values.tobytes(),
+                tuple(t.tobytes() for t in rec.policies),
+            ))
+        fields.append(tuple(a.table.tobytes() for a in policy.agents))
+        out[name] = fields
+    return out
+
+
+def q_nbytes(game):
+    return game.n_states * game.n_joint_actions * 8
+
+
+class TestBatchedRecords:
+    """A traced solve contracts its pending records in stacked flushes; the
+    records and the iterates must not depend on where the flushes fall."""
+
+    @pytest.mark.parametrize("params", TRACE_GAMES, ids=lambda p: f"game{p[0]}")
+    def test_records_do_not_depend_on_the_flushes(self, params, monkeypatch):
+        k, n_agents, n_states, counts, gamma, alpha = params
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        start = random_start(game, k)
+        # The mehaml-kl run of game 12 makes 201 records: four default flushes.
+        defaults = record_bytes(solve_each_way(game, start, alpha, k, True))
+        forced = {
+            "byte cap, one record": ("_PENDING_Q_BYTES", 1),
+            "count cap 1": ("_RESIDUAL_BATCH", 1),
+            "byte cap, three records": ("_PENDING_Q_BYTES", 4 * q_nbytes(game) - 1),
+            "count cap 5": ("_RESIDUAL_BATCH", 5),
+        }
+        for case, (name, value) in forced.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(haspi, name, value)
+                runs = record_bytes(solve_each_way(game, start, alpha, k, True))
+            assert runs == defaults, case
+
+    @pytest.mark.parametrize(
+        "cap_records, expected_batch", [(1, 1), (3.5, 3), (1000, 64)], ids=["alone", "three", "count"]
+    )
+    def test_pending_q_never_passes_the_cap(self, cap_records, expected_batch, monkeypatch):
+        k, n_agents, n_states, counts, gamma, alpha = TRACE_GAMES[2]
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        cap = int(cap_records * q_nbytes(game))
+        monkeypatch.setattr(haspi, "_PENDING_Q_BYTES", cap)
+        flushes = []
+        contract = haspi._record_contractions
+
+        def counted(game, pending):
+            flushes.append((len(pending), sum(q.nbytes for _, q in pending)))
+            return contract(game, pending)
+
+        monkeypatch.setattr(haspi, "_record_contractions", counted)
+        options = HaspiOptions(alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k))
+        _policy, trace = mehaml_solve(
+            game, random_start(game, k), alpha, kl_drift(1.0), full_neighborhood(), options=options
+        )
+        records = len(trace.iterations)
+        assert records > 64 and sum(n for n, _ in flushes) == records
+        for n, held in flushes[:-1]:
+            assert (n, held) == (expected_batch, expected_batch * q_nbytes(game))
+        assert all(held <= cap or n == 1 for n, held in flushes)
+        assert len(flushes) == math.ceil(records / expected_batch)
+
+
+def einsum_calls(monkeypatch, solve):
+    """How many times ``solve()`` calls ``np.einsum``."""
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return einsum(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", counted)
+        solve()
+    return len(calls)
+
+
+# Suite games 3 (3 agents, 4 states) and 6 (2 agents, 2 states): MEHAML makes
+# 269 and 203 records, HASPI 32 and 9.
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("solver", ["haspi", "mehaml"])
+def test_a_trace_adds_one_contraction_per_agent_per_flush(k, solver, monkeypatch):
+    """A timing-free guard on the trace's cost: the records' contractions come
+    in one einsum per agent per flush, not one per agent per record."""
+    _k, n_agents, n_states, counts, gamma, alpha = list(suite_params(k + 1))[k]
+    game = suite_game(k, n_agents, n_states, counts, gamma)
+    start = random_start(game, k)
+    traces = []
+
+    def solve(record_trace):
+        options = HaspiOptions(
+            alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k),
+            record_trace=record_trace,
+        )
+        if solver == "haspi":
+            trace = haspi_solve(game, start, options)[2]
+        else:
+            trace = mehaml_solve(game, start, alpha, kl_drift(1.0), full_neighborhood(), options=options)[1]
+        traces.append(trace)
+
+    traced = einsum_calls(monkeypatch, lambda: solve(True))
+    untraced = einsum_calls(monkeypatch, lambda: solve(False))
+    records = len(traces[0].iterations)
+    assert traces[0].sweeps == traces[1].sweeps == records - 1
+    # Suite shapes contract in one step per agent, a flush of one record too.
+    flushes = math.ceil(records / haspi._RESIDUAL_BATCH)
+    assert 0 < traced - untraced <= n_agents * flushes
+    # One contraction per agent per record, less the next sweep's reuse of
+    # one per iterate, would pass the bound.
+    assert n_agents * records - (records - 1) > n_agents * flushes
+
+
+def batch_cases():
+    """Each suite shape and the pairwise game, with 6 stacked (tables, Q) iterates."""
+    games = [(suite_game(k, n, s, c, g), k, a) for k, n, s, c, g, a in suite_params(100)]
+    for game, k, alpha in games + [PAIRWISE_GAME]:
+        rng = np.random.default_rng(k)
+        iterates = []
+        for _ in range(6):
+            jp = joint_policy_from_rows(
+                [rng.dirichlet(np.ones(c), size=game.n_states) for c in game.action_counts]
+            )
+            iterates.append((jp, evaluate_policy_exact(game, jp, alpha).values))
+        yield game, iterates
+
+
+def test_batched_contraction_is_the_per_iterate_one_bit_for_bit():
+    cases = 0
+    for game, iterates in batch_cases():
+        tables = [np.stack([jp.agents[i].table for jp, _ in iterates]) for i in range(game.n_agents)]
+        q_values = np.stack([q for _, q in iterates])
+        singles = [_agent_coefficients(game, jp, q) for jp, q in iterates]
+        for i in range(game.n_agents):
+            batched = _contract(game, tables, q_values, (i,))
+            assert batched.shape == (len(iterates),) + singles[0][i].shape
+            for b, single in enumerate(singles):
+                assert batched[b].tobytes() == single[i].tobytes()
+                cases += 1
+    assert cases == 6 * (sum(p[1] for p in suite_params(100)) + 4)
 
 
 class TestSolverBuiltPolicies:
