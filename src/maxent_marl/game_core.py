@@ -47,10 +47,9 @@ class _filled_once:
     instance dict, where later lookups find it before this descriptor.
 
     ``functools.cached_property`` does the same under a lock taken on each
-    first access; the solvers make fresh objects every iterate, so they
-    would pay that lock once per object. Two threads racing on a first
-    access both compute the value, and the last one stored wins: the
-    values are derived from read-only arrays, so they are equal.
+    first access. Two threads racing on a first access both compute the
+    value, and the last one stored wins: the values are derived from
+    read-only arrays, so they are equal.
     """
 
     def __init__(self, func: Callable):
@@ -172,10 +171,10 @@ class AgentPolicy:
     least ``floor``. The floor is a declared lower bound, default 0;
     deterministic rows are legitimate at floor 0, while Boltzmann-produced
     rows are strictly positive analytically without needing a positive
-    floor. Public construction makes the table a read-only copy of the
-    input, so the logs and row entropies cached on first use cannot go
-    stale. The solvers build the rows they normalize themselves through
-    :meth:`_unchecked`, which skips the copy and the checks.
+    floor. Construction makes the table a read-only copy of the input, so
+    the logs and row entropies cached on first use cannot go stale. The
+    solvers iterate on plain tables and build policies only for their
+    results (see :func:`_joint_policy`).
     """
 
     agent_id: int
@@ -203,18 +202,6 @@ class AgentPolicy:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "agent_id", int(self.agent_id))
 
-    @classmethod
-    def _unchecked(cls, agent_id: int, table: np.ndarray) -> "AgentPolicy":
-        """A policy over rows its solver made stochastic and checked finite.
-
-        No copy and no reductions: ``table`` is a fresh float64 array the
-        caller owns, and it is made read-only here.
-        """
-        table.flags.writeable = False
-        policy = object.__new__(cls)
-        policy.__dict__.update(agent_id=agent_id, table=table, floor=0.0)
-        return policy
-
     @property
     def n_states(self) -> int:
         return self.table.shape[0]
@@ -229,10 +216,7 @@ class AgentPolicy:
 
         Computed together once, without a warning; both read-only.
         """
-        log, rows = _log_and_entropy(self.table)
-        log.flags.writeable = False
-        rows.flags.writeable = False
-        return log, rows
+        return _table_logs(self.table)
 
     @property
     def _log_table(self) -> np.ndarray:
@@ -278,28 +262,16 @@ class JointPolicy:
 
     @_filled_once
     def _action_table(self) -> np.ndarray:
-        table = self.agents[0].table
-        for agent in self.agents[1:]:
-            table = table[:, :, None] * agent.table[:, None, :]
-            table = table.reshape(table.shape[0], -1)
+        table = _joint_table([agent.table for agent in self.agents])
         table.flags.writeable = False
         return table
 
     @_filled_once
     def entropy_bonus(self) -> np.ndarray:
         """sum_i H(pi^i(.|s)) for every state, shape (|S|,), read-only."""
-        total = np.zeros(self.n_states)
-        for agent in self.agents:
-            total += policy_entropy_rows(agent)
+        total = _entropy_bonus([policy_entropy_rows(agent) for agent in self.agents])
         total.flags.writeable = False
         return total
-
-    @classmethod
-    def _unchecked(cls, agents: tuple[AgentPolicy, ...]) -> "JointPolicy":
-        """A joint policy over agents a solver placed in id order itself."""
-        joint = object.__new__(cls)
-        joint.__dict__["agents"] = agents
-        return joint
 
     def replace(self, policy: AgentPolicy) -> "JointPolicy":
         """A copy with one agent's policy swapped out."""
@@ -319,16 +291,6 @@ class Permutation:
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"{order} is not a permutation of 0..{len(order) - 1}")
-
-    @classmethod
-    def _unchecked(cls, order: tuple[int, ...]) -> "Permutation":
-        """A permutation a sampler drew as Python ints."""
-        perm = object.__new__(cls)
-        perm.__dict__["order"] = order
-        return perm
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def new_matrix_game(reward_matrix: np.ndarray) -> CooperativeMarkovGame:
@@ -467,6 +429,58 @@ def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log, -terms.sum(axis=-1)
 
 
+def _table_logs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A policy table's log and entropy rows; the table and both made read-only.
+
+    Computed once per table: by :class:`AgentPolicy` on first use, and by
+    the solvers when they make a table, which they then hold next to it.
+    """
+    log, rows = _log_and_entropy(table)
+    for array in (table, log, rows):
+        array.flags.writeable = False
+    return log, rows
+
+
+def _policy_arrays(joint_policy: JointPolicy) -> tuple[list, list, list]:
+    """Every agent's table, log table and entropy rows: a solver's state."""
+    agents = joint_policy.agents
+    return [a.table for a in agents], [a._logs[0] for a in agents], [a._logs[1] for a in agents]
+
+
+def _agent_policy(
+    agent_id: int, table: np.ndarray, log: np.ndarray, rows: np.ndarray
+) -> AgentPolicy:
+    """The checked policy of a table a solver made, holding the log and
+    entropy rows the solver computed for it: its copy's have the same bits."""
+    policy = AgentPolicy(agent_id, table)
+    policy.__dict__["_logs"] = (log, rows)
+    return policy
+
+
+def _joint_policy(
+    tables: Sequence[np.ndarray], logs: Sequence[np.ndarray], entropies: Sequence[np.ndarray]
+) -> JointPolicy:
+    """The checked joint policy of a solver's iterate (see :func:`_agent_policy`)."""
+    return JointPolicy(tuple(map(_agent_policy, range(len(tables)), tables, logs, entropies)))
+
+
+def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The product distribution over flattened joint actions, (|S|, prod|A^i|)."""
+    table = tables[0]
+    for other in tables[1:]:
+        table = table[:, :, None] * other[:, None, :]
+        table = table.reshape(table.shape[0], -1)
+    return table
+
+
+def _entropy_bonus(entropies: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum of agents' entropy rows, in agent order, from zero."""
+    total = np.zeros(entropies[0].shape)
+    for rows in entropies:
+        total += rows
+    return total
+
+
 def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """KL(p || q) of every row over the last axis, from p and log q.
 
@@ -512,7 +526,9 @@ def joint_policy_from_rows(rows: Sequence[np.ndarray]) -> JointPolicy:
 
 def sup_policy_distance(a: JointPolicy, b: JointPolicy) -> float:
     """Max over agents, states and actions of |pi_a - pi_b|."""
-    return max(
-        float(np.abs(pa.table - pb.table).max())
-        for pa, pb in zip(a.agents, b.agents)
-    )
+    return _sup_distance([p.table for p in a.agents], [p.table for p in b.agents])
+
+
+def _sup_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
+    """:func:`sup_policy_distance` of two lists of tables."""
+    return max(float(np.abs(ta - tb).max()) for ta, tb in zip(a, b))

@@ -32,19 +32,19 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     Permutation,
-    joint_action_table,
-    sup_policy_distance,
+    _joint_policy,
+    _sup_distance,
+    _table_logs,
 )
 from .soft_dp import (
     SoftQTable,
     _check_conditional,
-    _check_shapes,
     _conditional_q,
     _contract,
+    _evaluate_tables,
     _policy_value,
+    _start_arrays,
     _with_entropy,
-    evaluate_policy_exact,
-    evaluate_policy_iterative,
 )
 
 __all__ = [
@@ -85,19 +85,20 @@ class PermutationRule:
         if self.ordering is not None:
             object.__setattr__(self, "ordering", tuple(int(i) for i in self.ordering))
 
-    def sampler(self, n_agents: int) -> Callable[[int], Permutation]:
+    def sampler(self, n_agents: int) -> Callable[[int], tuple[int, ...]]:
+        """The ordering of iteration k, as a tuple of agent ids."""
         if self.kind == "fixed":
-            perm = Permutation(self.ordering)
-            if len(perm) != n_agents:
+            order = Permutation(self.ordering).order
+            if len(order) != n_agents:
                 raise ValueError(
                     f"fixed ordering {self.ordering} does not cover {n_agents} agents"
                 )
-            return lambda k: perm
+            return lambda k: order
         if self.kind == "cyclic":
             base = np.arange(n_agents)
-            return lambda k: Permutation._unchecked(tuple(np.roll(base, -k).tolist()))
+            return lambda k: tuple(np.roll(base, -k).tolist())
         rng = np.random.default_rng(self.seed)
-        return lambda k: Permutation._unchecked(tuple(rng.permutation(n_agents).tolist()))
+        return lambda k: tuple(rng.permutation(n_agents).tolist())
 
 
 def fixed_order(ordering: Sequence[int]) -> PermutationRule:
@@ -171,34 +172,40 @@ def expected_conditional_q(
     return values
 
 
-def _sweep_coefficients(game, joint_policy_old, mixed, q_values, prefix, alpha, reuse=None):
+# A solver's iterate: per agent, in id order, the read-only policy table, its
+# log table and its entropy rows (see game_core._table_logs).
+Arrays = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]
+
+
+def _sweep_coefficients(game, old, mixed, q_values, prefix, alpha, reuse=None):
     """The coefficients of :func:`expected_conditional_q` in one contraction.
 
-    ``mixed`` holds the new rows of the updated agents ``prefix[:-1]`` and
-    the old rows of the rest. Averaging Q over all of them but the agent
-    ``prefix[-1]`` gives the chain's average, and the old rows' entropy
-    bonus is added back as the chain adds it. With no updated agent, the
-    contraction may be ``reuse``d from the trace's flush at this iterate:
-    it is the same, bit for bit.
+    ``mixed`` holds the tables of the updated agents ``prefix[:-1]`` and
+    the old tables of the rest. Averaging Q over all of them but the agent
+    ``prefix[-1]`` gives the chain's average, and the entropy bonus of the
+    ``old`` arrays is added back as the chain adds it. With no updated
+    agent, the contraction may be ``reuse``d from the trace's flush at this
+    iterate: it is the same, bit for bit.
     """
     agent = prefix[-1]
     if reuse is not None and len(prefix) == 1:
         values = reuse[agent]
     else:
-        values = _contract(game, [p.table for p in mixed], q_values, (agent,))
-    return _with_entropy(joint_policy_old, values, prefix, alpha)
+        values = _contract(game, mixed, q_values, (agent,))
+    return _with_entropy(old[2], values, prefix, alpha)
 
 
-# (old joint policy, updated prefix, agent, coefficients, alpha) -> new policy.
-# The sweeps place the result unchecked, so a rule checks its rows finite.
-RowRule = Callable[[JointPolicy, Sequence[AgentPolicy], int, np.ndarray, float], AgentPolicy]
+# (old arrays, the sweep's arrays so far, (updated agents..., agent),
+# coefficients, alpha) -> the agent's new table. The sweeps take the table
+# as it is, so a rule checks its rows finite.
+RowRule = Callable[[Arrays, Arrays, tuple[int, ...], np.ndarray, float], np.ndarray]
 
 
-def _boltzmann_rule(joint_policy_old, updated_prefix, agent, coefficients, alpha):
+def _boltzmann_rule(old, new, prefix, coefficients, alpha):
     rows = boltzmann_rows(coefficients, alpha)
     if not np.isfinite(rows).all():  # unreachable with finite Q
         raise RuntimeError("Boltzmann update produced a non-finite row")
-    return AgentPolicy._unchecked(agent, rows)
+    return rows
 
 
 def boltzmann_local_update(
@@ -223,65 +230,56 @@ def boltzmann_local_update(
     coefficients = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
-    return _boltzmann_rule(joint_policy_old, updated_prefix, agent, coefficients, alpha)
+    return AgentPolicy(agent, _boltzmann_rule(None, None, (agent,), coefficients, alpha))
+
+
+def _with_table(arrays: Arrays, agent: int, table: np.ndarray) -> None:
+    """Put a new table, and the logs computed for it here, in ``arrays``."""
+    log, rows = _table_logs(table)
+    arrays[0][agent], arrays[1][agent], arrays[2][agent] = table, log, rows
 
 
 def _sequential_sweep(
     game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
-    q: SoftQTable,
+    old: Arrays,
+    q_values: np.ndarray,
     alpha: float,
-    permutation: Permutation,
+    order: tuple[int, ...],
     rule: RowRule = _boltzmann_rule,
     reuse: Optional[list[np.ndarray]] = None,
-) -> JointPolicy:
-    """Update every agent along the permutation; (joint_policy, q) are checked."""
-    if len(permutation) != game.n_agents:
-        raise ValueError(f"permutation {permutation.order} does not cover {game.n_agents} agents")
-    agents = list(joint_policy.agents)
-    updated: list[AgentPolicy] = []
-    for agent in permutation.order:
-        prefix = tuple(p.agent_id for p in updated) + (agent,)
-        coef = _sweep_coefficients(game, joint_policy, agents, q.values, prefix, alpha, reuse)
-        policy = rule(joint_policy, updated, agent, coef, alpha)
-        updated.append(policy)
-        agents[agent] = policy
-    return JointPolicy._unchecked(tuple(agents))
+) -> Arrays:
+    """Update every agent along ``order``; (old, q_values) are checked."""
+    if len(order) != game.n_agents:
+        raise ValueError(f"permutation {order} does not cover {game.n_agents} agents")
+    new = (list(old[0]), list(old[1]), list(old[2]))
+    for m, agent in enumerate(order):
+        prefix = order[: m + 1]
+        coef = _sweep_coefficients(game, old, new[0], q_values, prefix, alpha, reuse)
+        _with_table(new, agent, rule(old, new, prefix, coef, alpha))
+    return new
 
 
 def _simultaneous_sweep(
     game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
-    q: SoftQTable,
+    old: Arrays,
+    q_values: np.ndarray,
     alpha: float,
     rule: RowRule = _boltzmann_rule,
     reuse: Optional[list[np.ndarray]] = None,
-) -> JointPolicy:
-    """Update every agent against the old policies; (joint_policy, q) are checked."""
-    agents = []
+) -> Arrays:
+    """Update every agent against the old tables; (old, q_values) are checked."""
+    new = (list(old[0]), list(old[1]), list(old[2]))
     for i in range(game.n_agents):
-        coefficients = _sweep_coefficients(
-            game, joint_policy, joint_policy.agents, q.values, (i,), alpha, reuse
-        )
-        agents.append(rule(joint_policy, (), i, coefficients, alpha))
-    return JointPolicy._unchecked(tuple(agents))
+        coefficients = _sweep_coefficients(game, old, old[0], q_values, (i,), alpha, reuse)
+        _with_table(new, i, rule(old, old, (i,), coefficients, alpha))
+    return new
 
 
-def _evaluate(
-    game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
-    alpha: float,
-    tol_eval: Optional[float] = None,
-) -> SoftQTable:
-    """The policy's soft Q, exact or iterative at ``tol_eval``.
-
-    The evaluation checks the policy against the game; the caller checks
-    the table's shape once per solve, as every iterate's has the same.
-    The contraction plan holds the dense bound of 11 agents.
-    """
-    if tol_eval is None:
-        return evaluate_policy_exact(game, joint_policy, alpha)
-    return evaluate_policy_iterative(game, joint_policy, alpha, tol=tol_eval)[0]
+def _evaluated(game, joint_policy, alpha, tol_eval):
+    """A checked policy's arrays and soft Q, exact or iterative at ``tol_eval``."""
+    arrays = _start_arrays(game, joint_policy, tol_eval is not None)
+    q = _evaluate_tables(game, arrays[0], arrays[2], alpha, np.eye(game.n_states), tol_eval)[0]
+    return arrays, q
 
 
 def haspi_step(
@@ -297,9 +295,8 @@ def haspi_step(
     iteratively at ``tol_eval`` when given), then updates every agent
     along the permutation, each conditioning on the prefix updated so far.
     """
-    q = _evaluate(game, joint_policy, alpha, tol_eval)
-    _check_shapes(game, q)
-    return _sequential_sweep(game, joint_policy, q, alpha, permutation)
+    arrays, q = _evaluated(game, joint_policy, alpha, tol_eval)
+    return _joint_policy(*_sequential_sweep(game, arrays, q, alpha, permutation.order))
 
 
 def masac_step(
@@ -309,9 +306,8 @@ def masac_step(
     tol_eval: Optional[float] = None,
 ) -> JointPolicy:
     """Simultaneous variant: every agent updates against old teammates."""
-    q = _evaluate(game, joint_policy, alpha, tol_eval)
-    _check_shapes(game, q)
-    return _simultaneous_sweep(game, joint_policy, q, alpha)
+    arrays, q = _evaluated(game, joint_policy, alpha, tol_eval)
+    return _joint_policy(*_simultaneous_sweep(game, arrays, q, alpha))
 
 
 # Traced iterates whose QRE residuals are computed together: enough to spread
@@ -335,31 +331,34 @@ def _policy_iteration_loop(
 
     Shared between the sequential, simultaneous and generalized (drift)
     solvers so that trivially-configured variants are iterate-for-iterate
-    identical under the same permutation seed. Each iterate's policy is
-    checked once, by its evaluation, and the table's shape once per
-    solve.
+    identical under the same permutation seed. The loop's state is the
+    iterate's :data:`Arrays`; the start policy is checked once, and
+    policies are built for the result only.
 
-    A traced iterate's record waits, holding its read-only Q, until a
-    flush contracts it (:func:`_record_contractions`). A flush comes at
-    ``_RESIDUAL_BATCH`` waiting records, or earlier when one more Q would
-    take them past ``_PENDING_Q_BYTES``. Every Q of a solve has the same
-    size, so the flush size is fixed per solve, and a flush always ends at
-    the current iterate: the next sweep reuses that iterate's one-agent
-    contractions for its agents with no prefix. After an iterate that did
-    not flush, the sweep contracts for itself, as in an untraced run, to
-    the same bits. The contracted records then wait for their residuals,
-    up to ``_RESIDUAL_BATCH`` of them, to share one softmax per agent
+    A traced iterate's record waits, as a tuple of its fields but the
+    residual and holding its read-only Q, until a flush contracts it
+    (:func:`_record_contractions`). A flush comes at ``_RESIDUAL_BATCH``
+    waiting records, or earlier when one more Q would take them past
+    ``_PENDING_Q_BYTES``. Every Q of a solve has the same size, so the
+    flush size is fixed per solve, and a flush always ends at the current
+    iterate: the next sweep reuses that iterate's one-agent contractions
+    for its agents with no prefix. After an iterate that did not flush,
+    the sweep contracts for itself, as in an untraced run, to the same
+    bits. The contracted records then wait for their residuals, up to
+    ``_RESIDUAL_BATCH`` of them, to share one softmax per agent
     (:func:`_with_residuals`).
     """
     alpha = options.alpha
     tol_eval = options.tol_eval if options.eval_method == "iterative" else None
-    jp = initial_joint_policy
+    arrays = _start_arrays(game, initial_joint_policy, tol_eval is not None)
+    eye = np.eye(game.n_states)
+    q, joint, bonus = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
     sampler = options.permutation_rule.sampler(game.n_agents)
     records: list[IterationRecord] = []
     # Traced iterates: their record fields but the residual, and their soft Q.
-    pending: list[tuple[dict, np.ndarray]] = []
+    pending: list[tuple[tuple, np.ndarray]] = []
     # Contracted flushes awaiting their residuals (see _record_contractions).
-    contracted: list[tuple[list[dict], list[np.ndarray], list[np.ndarray]]] = []
+    contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]] = []
 
     def flush() -> list[np.ndarray]:
         contracted.append(_record_contractions(game, pending))
@@ -371,76 +370,67 @@ def _policy_iteration_loop(
             contracted.clear()
         return [c[-1] for c in coefficients]
 
-    def snapshot(
-        k: int, perm: Optional[Permutation], change: float, q: SoftQTable
-    ) -> Optional[list[np.ndarray]]:
+    def snapshot(k, order, change) -> Optional[list[np.ndarray]]:
         if not options.record_trace:
             return None
-        values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
+        values = _policy_value(joint, q, bonus, alpha)
         values.flags.writeable = False
-        fields = dict(
-            iteration=k,
-            permutation=None if perm is None else perm.order,
-            policy_change=change,
-            maxent_return=float(game.initial_dist @ values),
-            values=values,
-            policies=tuple(a.table for a in jp.agents),
-        )
-        pending.append((fields, q.values))
+        ret = float(game.initial_dist @ values)
+        pending.append(((k, order, change, ret, values, tuple(arrays[0])), q))
         return flush() if len(pending) == batch else None
 
-    q = _evaluate(game, jp, alpha, tol_eval)
-    _check_shapes(game, q)
-    batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // q.values.nbytes))
-    reuse = snapshot(0, None, 0.0, q)
+    batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // q.nbytes))
+    reuse = snapshot(0, None, 0.0)
     status = "max_iters"
     sweeps = 0
     for k in range(1, options.max_outer_iters + 1):
         sweeps = k
         if simultaneous:
-            perm = None
-            jp_new = _simultaneous_sweep(game, jp, q, alpha, rule, reuse)
+            order = None
+            new = _simultaneous_sweep(game, arrays, q, alpha, rule, reuse)
         else:
-            perm = sampler(k - 1)
-            jp_new = _sequential_sweep(game, jp, q, alpha, perm, rule, reuse)
-        change = sup_policy_distance(jp_new, jp)
-        jp = jp_new
-        q = _evaluate(game, jp, alpha, tol_eval)
-        reuse = snapshot(k, perm, change, q)
+            order = sampler(k - 1)
+            new = _sequential_sweep(game, arrays, q, alpha, order, rule, reuse)
+        change = _sup_distance(new[0], arrays[0])
+        arrays = new
+        q, joint, bonus = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
+        reuse = snapshot(k, order, change)
         if change < options.tol_policy:
             status = "converged"
             break
     if pending:
         flush()
     records.extend(_with_residuals(contracted, game.n_agents, alpha))
-    return jp, q, SolveTrace(iterations=records, status=status, sweeps=sweeps)
+    trace = SolveTrace(iterations=records, status=status, sweeps=sweeps)
+    return _joint_policy(*arrays), SoftQTable(alpha, q), trace
 
 
 def _record_contractions(
-    game: CooperativeMarkovGame, pending: list[tuple[dict, np.ndarray]]
-) -> tuple[list[dict], list[np.ndarray], list[np.ndarray]]:
+    game: CooperativeMarkovGame, pending: list[tuple[tuple, np.ndarray]]
+) -> tuple[list[tuple], list[np.ndarray], list[np.ndarray]]:
     """The pending records' fields, and per agent their policy tables and
     one-agent contractions, stacked on a leading axis.
 
     One batched :func:`_contract` per agent serves every record, each with
     the bits of its own unbatched call, on which the sweeps' ``reuse``
-    relies. A single record is contracted unstacked.
+    relies. A single record is contracted unstacked. A record's fields end
+    with its policy tables.
     """
     n_agents = game.n_agents
     fields = [f for f, _ in pending]
     if len(pending) == 1:
-        policies, q_values = fields[0]["policies"], pending[0][1]
+        policies, q_values = fields[0][-1], pending[0][1]
         tables = [t[None] for t in policies]
         coefficients = [_contract(game, policies, q_values, (i,))[None] for i in range(n_agents)]
     else:
-        tables = [np.stack([f["policies"][i] for f in fields]) for i in range(n_agents)]
+        tables = [np.stack([f[-1][i] for f in fields]) for i in range(n_agents)]
         q_values = np.stack([q for _, q in pending])
         coefficients = [_contract(game, tables, q_values, (i,)) for i in range(n_agents)]
     return fields, tables, coefficients
 
 
 def _with_residuals(
-    contracted: list[tuple[list[dict], list[np.ndarray], list[np.ndarray]]],
+    contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]],
     n_agents: int,
     alpha: float,
 ) -> list[IterationRecord]:
@@ -456,7 +446,10 @@ def _with_residuals(
     tables = [joined([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
     coefficients = [joined([c[i] for _, _, c in contracted]) for i in range(n_agents)]
     residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
-    return [IterationRecord(**f, qre_residual=r) for f, r in zip(fields, residuals)]
+    return [
+        IterationRecord(k, order, change, ret, values, residual, policies)
+        for (k, order, change, ret, values, policies), residual in zip(fields, residuals)
+    ]
 
 
 def haspi_solve(

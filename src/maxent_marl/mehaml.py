@@ -34,10 +34,13 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
+    _agent_policy,
     _kl_rows,
     _log_and_entropy,
+    _policy_arrays,
 )
 from .haspi import (
+    Arrays,
     HaspiOptions,
     RowRule,
     _policy_iteration_loop,
@@ -268,32 +271,56 @@ def mehamo_eval(
     return float(_mirror_values(coef[s], cand, alpha, drift_value))
 
 
-def _mirror_values(coef, rows, alpha, drift_values):
+def _mirror_values(coef, rows, alpha, drift_values, entropy=None):
     """coef . row + alpha * H(row) - drift, for one row or a stack of rows.
 
     The linear term is a batched matmul, which gives each row the bits of
     ``coef[s] @ row`` (an elementwise product summed over the last axis
-    does not).
+    does not). ``entropy``, when given, is H of the rows.
     """
     linear = (coef[..., None, :] @ rows[..., :, None])[..., 0, 0]
-    return linear + alpha * _log_and_entropy(rows)[1] - drift_values
+    if entropy is None:
+        entropy = _log_and_entropy(rows)[1]
+    return linear + alpha * entropy - drift_values
 
 
 def _kl_regularized_rows(
-    coef: np.ndarray, incumbent: AgentPolicy, alpha: float, beta: float
+    coef: np.ndarray, incumbent_log: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
-    """Closed-form argmax of the mirror value under a KL drift.
+    """Closed-form argmax of the mirror value under a KL drift: the softmax
+    of (beta * log q + c) at temperature alpha + beta.
 
     Zero-probability incumbent entries stay at zero: the KL term forces
     absolute continuity of the candidate with respect to the incumbent,
-    whose cached log is -inf there.
+    whose log ``incumbent_log`` is -inf there (beta = 0 keeps them out).
     """
     if beta == 0.0:
         return boltzmann_rows(coef, alpha)
-    z = (beta * incumbent._log_table + coef) / (alpha + beta)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return boltzmann_rows(beta * incumbent_log + coef, alpha + beta)
+
+
+class _DriftArguments:
+    """The policies a drift's ``rows`` takes in a line search: the old
+    iterate's joint policy and the sweep's updated prefix, each built on
+    first use and once per table (a sweep's new tables are the next
+    iterate's old ones)."""
+
+    def __init__(self) -> None:
+        self.joint = (None, None)  # the old tables' list and their joint policy
+        self.policies = {}  # id(table) -> (table, policy); a held table keeps its id
+
+    def policy(self, arrays: Arrays, i: int) -> AgentPolicy:
+        table = arrays[0][i]
+        if id(table) not in self.policies:
+            self.policies[id(table)] = (table, _agent_policy(i, *(a[i] for a in arrays)))
+        return self.policies[id(table)][1]
+
+    def __call__(self, old: Arrays, new: Arrays, prefix: tuple[int, ...]):
+        if self.joint[0] is not old[0]:
+            agents = tuple(self.policy(old, i) for i in range(len(old[0])))
+            self.policies = {id(t): self.policies[id(t)] for t in old[0]}
+            self.joint = (old[0], JointPolicy(agents))
+        return self.joint[1], [self.policy(new, i) for i in prefix[:-1]]
 
 
 def _mirror_rule(
@@ -308,28 +335,30 @@ def _mirror_rule(
     if mode == "closed_form" and not isinstance(drift, (TrivialDrift, KlDrift)):
         raise ValueError(f"no closed form for drift {drift.name!r}; use mode='line_search'")
     needs_backtrack = mode == "line_search" or not isinstance(neighborhood, FullNeighborhood)
+    drift_arguments = _DriftArguments()
 
-    def rule(joint_policy_old, updated_prefix, agent, coef, alpha):
-        incumbent_policy = joint_policy_old.agents[agent]
-        incumbent = incumbent_policy.table
+    def rule(old, new, prefix, coef, alpha):
+        agent = prefix[-1]
+        incumbent = old[0][agent]
         if isinstance(drift, KlDrift):
-            target = _kl_regularized_rows(coef, incumbent_policy, alpha, drift.beta)
+            target = _kl_regularized_rows(coef, old[1][agent], alpha, drift.beta)
         else:
             target = boltzmann_rows(coef, alpha)
         if not np.isfinite(target).all():  # unreachable with finite Q
             raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
-            return AgentPolicy._unchecked(agent, target)
+            return target
+        joint_policy_old, updated_prefix = drift_arguments(old, new, prefix)
 
-        def mirror_values(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        def mirror_values(states, rows, entropy=None):
             drift_values = drift.rows(game, joint_policy_old, agent, rows, states, updated_prefix)
-            return _mirror_values(coef[states], rows, alpha, drift_values)
+            return _mirror_values(coef[states], rows, alpha, drift_values, entropy)
 
         # Every state backtracks from t = 1 at once; a state leaves the
         # pending set at its first feasible step that does not lower its
         # mirror value, and keeps its incumbent row if none does.
         pending = np.arange(game.n_states)
-        base = mirror_values(pending, incumbent)
+        base = mirror_values(pending, incumbent, old[2][agent])
         rows = incumbent.copy()
         t = 1.0
         while t > _BACKTRACK_FLOOR and pending.size:
@@ -342,7 +371,7 @@ def _mirror_rule(
             pending = np.delete(pending, accepted)
             t *= 0.5
         # Each row lies on the segment between two finite stochastic rows.
-        return AgentPolicy._unchecked(agent, rows)
+        return rows
 
     return rule
 
@@ -372,7 +401,12 @@ def mehaml_local_update(
     coef = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
-    return rule(joint_policy_old, updated_prefix, agent, coef, alpha)
+    mixed = joint_policy_old
+    for policy in updated_prefix:
+        mixed = mixed.replace(policy)
+    prefix = tuple(p.agent_id for p in updated_prefix) + (agent,)
+    rows = rule(_policy_arrays(joint_policy_old), _policy_arrays(mixed), prefix, coef, alpha)
+    return AgentPolicy(agent, rows)
 
 
 def mehaml_solve(

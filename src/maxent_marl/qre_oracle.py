@@ -29,19 +29,22 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
+    _joint_policy,
     _kl_rows,
     _log_and_entropy,
+    _sup_distance,
+    _table_logs,
     joint_action_table,
-    sup_policy_distance,
     uniform_joint_policy,
 )
 from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
     _check_conditional,
-    _check_shapes,
     _contract,
+    _evaluate_tables,
     _policy_value,
+    _start_arrays,
     _tables,
     evaluate_policy_exact,
     maxent_return,
@@ -106,8 +109,9 @@ def qre_residual(
     if q is None:
         q = evaluate_policy_exact(game, joint_policy, alpha)
     _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
-    coefficients = _agent_coefficients(game, joint_policy, q.values)
-    return float(_logit_responses(_tables(joint_policy), coefficients, alpha)[1])
+    tables = _tables(joint_policy)
+    coefficients = _agent_coefficients(game, tables, q.values)
+    return float(_logit_responses(tables, coefficients, alpha)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,48 +164,38 @@ def qre_fixed_point(
     if tol <= 0:
         raise ValueError("tol must be positive")
     jp = initial_joint_policy if initial_joint_policy is not None else uniform_joint_policy(game)
-    best_jp = jp
+    tables, logs, entropies = best = _start_arrays(game, jp)
+    eye = np.eye(game.n_states)
     best_residual = np.inf
     records = [] if record_trace else None
     iterations = 0
     status = "max_iters"
-    recent = deque(maxlen=CYCLE_PERIODS[-1] + 1)  # pi_{k-4}, ..., pi_k
+    recent = deque(maxlen=CYCLE_PERIODS[-1] + 1)  # the tables of pi_{k-4}, ..., pi_k
     no_streaks = (0,) * len(CYCLE_PERIODS)  # consecutive repeats per period
     streaks = no_streaks
     step = np.inf  # ||pi_k - pi_{k-1}|| = damping * previous residual
     for k in range(max_iters):
-        q = evaluate_policy_exact(game, jp, alpha)  # checks the policy
-        if k == 0:
-            _check_shapes(game, q)  # every iterate's table has this shape
-        tables = _tables(jp)
-        responses, gap = _logit_responses(tables, _agent_coefficients(game, jp, q.values), alpha)
+        q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, eye)
+        responses, gap = _logit_responses(tables, _agent_coefficients(game, tables, q), alpha)
         residual = float(gap)
         if math.isnan(residual):  # unreachable with a finite Q
             raise RuntimeError("logit response produced a non-finite row")
         if records is not None:
-            values = _policy_value(joint_action_table(jp), q.values, jp.entropy_bonus, alpha)
+            values = _policy_value(joint, q, bonus, alpha)
             values.flags.writeable = False
-            records.append(
-                IterationRecord(
-                    iteration=k,
-                    permutation=None,
-                    policy_change=float("nan") if k == 0 else damping * residual,
-                    maxent_return=float(game.initial_dist @ values),
-                    values=values,
-                    qre_residual=residual,
-                    policies=tuple(tables),
-                )
-            )
+            change = float("nan") if k == 0 else damping * residual
+            ret = float(game.initial_dist @ values)
+            records.append(IterationRecord(k, None, change, ret, values, residual, tuple(tables)))
         iterations = k + 1
-        recent.append(jp)
+        recent.append(tables)
         if residual < best_residual:
-            best_jp, best_residual = jp, residual
+            best, best_residual = (tables, logs, entropies), residual
             streaks = no_streaks
         else:
             # Only a run that has stopped improving can be cycling.
             streaks = tuple(
                 n + 1
-                if p < len(recent) and sup_policy_distance(jp, recent[-1 - p]) <= CYCLE_RTOL * step
+                if p < len(recent) and _sup_distance(tables, recent[-1 - p]) <= CYCLE_RTOL * step
                 else 0
                 for p, n in zip(CYCLE_PERIODS, streaks)
             )
@@ -213,16 +207,13 @@ def qre_fixed_point(
             break
         step = damping * residual
         # Finite rows (the residual above is finite), stochastic by construction.
-        mixed = [
-            AgentPolicy._unchecked(i, (1.0 - damping) * table + damping * rows)
-            for i, (table, rows) in enumerate(zip(tables, responses))
-        ]
-        jp = JointPolicy._unchecked(tuple(mixed))
+        tables = [(1.0 - damping) * t + damping * rows for t, rows in zip(tables, responses)]
+        logs, entropies = zip(*map(_table_logs, tables))
     trace = None
     if records is not None:
         trace = SolveTrace(iterations=records, status=status, sweeps=max(0, iterations - 1))
     return QreSolution(
-        joint_policy=best_jp,
+        joint_policy=_joint_policy(*best),
         residual=best_residual,
         iterations=iterations,
         damping=damping,

@@ -31,8 +31,10 @@ import numpy as np
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
+    _entropy_bonus,
+    _joint_table,
+    _policy_arrays,
     joint_action_table,
-    policy_entropy_rows,
 )
 
 __all__ = [
@@ -94,14 +96,6 @@ class SoftQTable:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @classmethod
-    def _unchecked(cls, alpha: float, values: np.ndarray) -> "SoftQTable":
-        """A table the evaluation computed: a fresh 2-d float64 C array."""
-        values.flags.writeable = False
-        table = object.__new__(cls)
-        table.__dict__.update(alpha=float(alpha), values=values)
-        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +249,28 @@ def evaluate_policy_iterative(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if game.gamma >= 1.0:
-        raise ValueError("iterative evaluation requires gamma < 1")
-    q = zero_soft_q(game, alpha)
+    _start_arrays(game, joint_policy, iterative=True)  # checks the discount and the policy
+    joint, bonus = joint_action_table(joint_policy), joint_policy.entropy_bonus
+    q, iterations = _iterated_q(game, joint, bonus, alpha, tol, max_iters)
+    return SoftQTable(alpha, q), iterations
+
+
+def _iterated_q(game, joint, bonus, alpha, tol, max_iters=100_000) -> tuple[np.ndarray, int]:
+    """:func:`evaluate_policy_iterative` on a policy's joint table and
+    entropy bonus; returns Q and the number of backups."""
+
+    def backup(q_values: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _backup(game, _policy_value(joint, q_values, bonus, alpha))
+
+    q = np.zeros((game.n_states, game.n_joint_actions))
     if game.gamma == 0.0:
-        return soft_bellman_backup(game, joint_policy, q, alpha), 1
+        return backup(q), 1
     threshold = tol * min(1.0, (1.0 - game.gamma) / game.gamma)
     residual = np.inf
     for k in range(1, max_iters + 1):
-        q_next = soft_bellman_backup(game, joint_policy, q, alpha)
-        residual = float(np.abs(q_next.values - q.values).max())
+        q_next = backup(q)
+        residual = float(np.abs(q_next - q).max())
         q = q_next
         if residual < threshold:
             return q, k
@@ -298,24 +304,54 @@ def evaluate_policy_exact(
     stochastic or not, and a NaN in the reward or the kernel makes the
     bound NaN, which fails the check.
     """
+    tables, _logs, entropies = _start_arrays(game, joint_policy)
+    q = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))[0]
+    return SoftQTable(alpha, q)
+
+
+def _start_arrays(game, joint_policy, iterative=False):
+    """A policy's arrays (:func:`~maxent_marl.game_core._policy_arrays`),
+    with the game's discount and the policy checked for their evaluation:
+    once per solve, as every later iterate has the same shapes."""
     if game.gamma >= 1.0:
-        raise ValueError("exact evaluation requires gamma < 1")
+        method = "iterative" if iterative else "exact"
+        raise ValueError(f"{method} evaluation requires gamma < 1")
     _check_policy(game, joint_policy)
-    rbar, m = _policy_averages(game, joint_action_table(joint_policy))
-    lhs = np.eye(game.n_states) - game.gamma * m
-    rhs = rbar + alpha * joint_policy.entropy_bonus
-    try:
-        v = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
-        raise RuntimeError(f"evaluation system is singular: {exc}") from exc
-    system_residual = float(np.abs(lhs @ v - rhs).max())
-    bound = game.gamma * game.transition_norm * system_residual
-    # Written so that a NaN bound fails the test too.
-    if not bound <= _EXACT_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"exact evaluation residual {bound:.3e} exceeds {_EXACT_RESIDUAL_TOL}"
-        )
-    return SoftQTable._unchecked(alpha, _backup(game, v))
+    return _policy_arrays(joint_policy)
+
+
+def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None):
+    """The read-only soft Q of the product policy of ``tables``, with its
+    joint table and entropy bonus: the evaluation of every solver iterate.
+
+    The tables are not checked: the caller made them, or checked their
+    policy once. ``entropies`` holds their entropy rows, and ``eye`` the
+    identity of the game's state count, built once per solve. Exact,
+    under the bound of :func:`evaluate_policy_exact`, or, given
+    ``tol_eval``, iterative as :func:`evaluate_policy_iterative`.
+    """
+    joint = _joint_table(tables)
+    bonus = _entropy_bonus(entropies)
+    if tol_eval is not None:
+        q = _iterated_q(game, joint, bonus, alpha, tol_eval)[0]
+    else:
+        rbar, m = _policy_averages(game, joint)
+        lhs = eye - game.gamma * m
+        rhs = rbar + alpha * bonus
+        try:
+            v = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
+            raise RuntimeError(f"evaluation system is singular: {exc}") from exc
+        system_residual = float(np.abs(lhs @ v - rhs).max())
+        bound = game.gamma * game.transition_norm * system_residual
+        # Written so that a NaN bound fails the test too.
+        if not bound <= _EXACT_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"exact evaluation residual {bound:.3e} exceeds {_EXACT_RESIDUAL_TOL}"
+            )
+        q = _backup(game, v)
+    q.flags.writeable = False
+    return q, joint, bonus
 
 
 def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
@@ -426,18 +462,17 @@ def _contract(
 
 
 def _with_entropy(
-    joint_policy: JointPolicy, values: np.ndarray, prefix: tuple[int, ...], alpha: float
+    entropies: Sequence[np.ndarray], values: np.ndarray, prefix: tuple[int, ...], alpha: float
 ) -> np.ndarray:
     """Add alpha * sum_{i not in prefix} H(pi^i(.|s)) to a contraction.
 
-    ``values`` has a state axis first; the bonus is constant along the
-    others, which may be fewer than the prefix has agents.
+    ``entropies`` holds every agent's entropy rows. ``values`` has a state
+    axis first; the bonus is constant along the others, which may be fewer
+    than the prefix has agents.
     """
-    complement = [i for i in range(joint_policy.n_agents) if i not in prefix]
+    complement = [entropies[i] for i in range(len(entropies)) if i not in prefix]
     if complement:
-        bonus = np.zeros(joint_policy.n_states)
-        for i in complement:
-            bonus += policy_entropy_rows(joint_policy.agents[i])
+        bonus = _entropy_bonus(complement)
         values = values + alpha * bonus.reshape((-1,) + (1,) * (values.ndim - 1))
     # With the full prefix the einsum result is a transposed view. Callers
     # average over its axes, and in that memory order the sums would round
@@ -454,18 +489,18 @@ def _conditional_q(
 ) -> np.ndarray:
     """The values of :func:`multiagent_soft_q` for checked arguments."""
     values = _contract(game, _tables(joint_policy), q_values, prefix)
-    return _with_entropy(joint_policy, values, prefix, alpha)
+    return _with_entropy(_policy_arrays(joint_policy)[2], values, prefix, alpha)
 
 
 def _agent_coefficients(
-    game: CooperativeMarkovGame, joint_policy: JointPolicy, q_values: np.ndarray
+    game: CooperativeMarkovGame, tables: Sequence[np.ndarray], q_values: np.ndarray
 ) -> list[np.ndarray]:
-    """The logit coefficients E_{a^-i ~ pi^-i}[Q(s, a^i, a^-i)] of every agent i.
+    """The logit coefficients E_{a^-i ~ pi^-i}[Q(s, a^i, a^-i)] of every agent i,
+    from every agent's policy table.
 
     Checked arguments. The others' entropy, constant in a^i, is left out;
     :func:`_with_entropy` adds it back bit for bit where it is needed.
     """
-    tables = _tables(joint_policy)
     return [_contract(game, tables, q_values, (i,)) for i in range(game.n_agents)]
 
 
@@ -519,6 +554,6 @@ def maxent_return(
     alpha: float,
 ) -> float:
     """Entropy-regularized return J = sum_s d(s) V(s), V from the exact solve."""
-    q = evaluate_policy_exact(game, joint_policy, alpha)
-    v = soft_value(game, joint_policy, q, alpha)
-    return float(game.initial_dist @ v.values)
+    tables, _logs, entropies = _start_arrays(game, joint_policy)
+    q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))
+    return float(game.initial_dist @ _policy_value(joint, q, bonus, alpha))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -113,7 +114,7 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
             raise ValueError(
                 f"the 'matrix' shorthand takes no other fields, got {sorted(extra)}"
             )
-        return new_matrix_game(np.asarray(data["matrix"], dtype=np.float64))
+        return new_matrix_game(_numbers("matrix", data["matrix"]))
 
     for key in ("n_agents", "action_counts", "gamma", "reward"):
         if key not in data:
@@ -121,16 +122,19 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
     states = data.get("states", 1)
     n_states = len(states) if isinstance(states, list) else _integer("states", states)
     n_agents = _integer("n_agents", data["n_agents"])
+    if not isinstance(data["action_counts"], list):
+        counts = data["action_counts"]
+        raise ValueError(f"game field 'action_counts' must be a list, got {counts!r}")
     counts = tuple(_integer("action_counts", c) for c in data["action_counts"])
     n_joint = int(np.prod(counts))
 
-    reward = np.asarray(data["reward"], dtype=np.float64)
+    reward = _numbers("reward", data["reward"])
     if reward.shape != (n_states, *counts):
         raise ValueError(
             f"reward field has shape {reward.shape}, expected {(n_states, *counts)}"
         )
     if "transition" in data:
-        transition = np.asarray(data["transition"], dtype=np.float64)
+        transition = _numbers("transition", data["transition"])
         if transition.shape != (n_states, *counts, n_states):
             raise ValueError(
                 f"transition field has shape {transition.shape}, "
@@ -142,7 +146,7 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
     else:
         raise ValueError("transition field is required for multi-state games")
     if "initial_dist" in data:
-        initial = np.asarray(data["initial_dist"], dtype=np.float64)
+        initial = _numbers("initial_dist", data["initial_dist"])
     else:
         initial = np.full(n_states, 1.0 / n_states)
     return CooperativeMarkovGame(
@@ -151,17 +155,35 @@ def parse_game(data: dict[str, Any]) -> CooperativeMarkovGame:
         action_counts=counts,
         reward=reward.reshape(n_states, n_joint),
         transition=transition,
-        gamma=float(data["gamma"]),
+        gamma=_real("gamma", data["gamma"]),
         initial_dist=initial,
     )
 
 
-def _integer(key: str, value: Any, kind: str = "game") -> int:
-    """An integer field; NaN and the infinities are named and rejected."""
+def _numbers(key: str, value: Any, kind: str = "game") -> np.ndarray:
+    """A number or nested lists of numbers of one shape, as float64. Text,
+    booleans, null and ragged nesting are named and rejected; the
+    non-finite literals pass, for the game's validation to name."""
     try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{kind} field {key!r} is not a regular array") from exc
+    if array.dtype.kind == "O":  # JSON integers too large for int64, or not numbers
+        array = np.array([_real(key, x, kind) for x in array.flat]).reshape(array.shape)
+    elif array.dtype.kind not in "iuf":
+        raise ValueError(f"{kind} field {key!r} must hold numbers only, got {value!r}")
+    return array.astype(np.float64, copy=False)
+
+
+def _integer(key: str, value: Any, kind: str = "game") -> int:
+    """An integer field: a JSON integer, or a number of integral value such
+    as 3.0. Strings, booleans, fractions, NaN and the infinities are named
+    and rejected; nothing is converted from text or truncated."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{kind} field {key!r} must be an integer, got {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{kind} field {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_game(path: str | Path) -> CooperativeMarkovGame:
@@ -233,9 +255,10 @@ class ExperimentSpec:
 def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -> ExperimentSpec:
     """Validate an experiment dict: solver-specific keys only, no unknowns.
 
-    Numeric fields must be finite: NaN and the infinities (the JSON
-    literals NaN, Infinity and -Infinity) are rejected by field name, as
-    is an integer field that does not convert to an integer. So is a
+    Numeric fields must be finite JSON numbers: text, booleans, NaN and
+    the infinities (the JSON literals NaN, Infinity and -Infinity) are
+    rejected by field name, as is an integer field whose value is not
+    integral; nothing is converted from text or truncated. So is a
     ``permutation``, ``drift`` or ``neighborhood`` of the wrong type, or
     a drift or neighborhood option that its constructor does not take.
     ``record_trace`` must be a JSON boolean, ``name`` a string and ``out``
@@ -304,12 +327,21 @@ def _typed(key: str, value: Any, kind: type | tuple[type, ...], expected: str) -
     return value
 
 
-def _finite(key: str, value: Any) -> float:
-    """A real experiment field; NaN and the infinities are named and rejected."""
+def _real(key: str, value: Any, kind: str = "game") -> float:
+    """A JSON number as a float; text and booleans are named and rejected,
+    and an integer too large for a float becomes infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{kind} field {key!r} must be a number, got {value!r}")
     try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"experiment field {key!r} must be a number, got {value!r}") from exc
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(key: str, value: Any) -> float:
+    """A real experiment field: a JSON number, finite. NaN and the
+    infinities are named and rejected, as :func:`_real` rejects the rest."""
+    number = _real(key, value, "experiment")
     if not math.isfinite(number):
         raise ValueError(f"experiment field {key!r} must be finite, got {value!r}")
     return number
@@ -417,7 +449,7 @@ def initial_policy_for(game: CooperativeMarkovGame, description: Any) -> JointPo
         )
     rows = []
     for i, entry in enumerate(description):
-        arr = np.asarray(entry, dtype=np.float64)
+        arr = _numbers(f"initial_policy[{i}]", entry, "experiment")
         if arr.ndim == 1:
             arr = np.tile(arr, (game.n_states, 1))
         if arr.shape != (game.n_states, game.action_counts[i]):

@@ -133,6 +133,41 @@ class TestGameFiles:
                 load_game(path)
             assert message in str(info.value), name
 
+    def test_game_numbers_must_be_json_numbers(self, tmp_path):
+        base = {
+            "n_agents": 2,
+            "states": 1,
+            "action_counts": [2, 2],
+            "gamma": 0.0,
+            "reward": [[[0.0, 1.0], [1.0, 0.0]]],
+        }
+        cases = {
+            "string count": ({**base, "n_agents": "2"}, "'n_agents' must be an integer, got '2'"),
+            "boolean count": ({**base, "states": True}, "'states' must be an integer, got True"),
+            "fractional count": (
+                {**base, "action_counts": [2.5, 2]}, "'action_counts' must be an integer"
+            ),
+            "count list": ({**base, "action_counts": 2}, "'action_counts' must be a list, got 2"),
+            "string gamma": ({**base, "gamma": "0.5"}, "'gamma' must be a number, got '0.5'"),
+            "list gamma": ({**base, "gamma": [0.5]}, "'gamma' must be a number, got [0.5]"),
+            "text entry": (
+                {**base, "reward": [[[0.0, "1"], [1.0, 0.0]]]}, "'reward' must hold numbers only"
+            ),
+            "ragged": (
+                {**base, "reward": [[[0.0, 1.0], [1.0]]]}, "'reward' is not a regular array"
+            ),
+        }
+        for name, (payload, message) in cases.items():
+            path = tmp_path / f"{name}.game"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError) as info:
+                load_game(path)
+            assert message in str(info.value), name
+        path = tmp_path / "integral.game"
+        path.write_text(json.dumps({**base, "n_agents": 2.0, "action_counts": [2, 2.0]}))
+        game = load_game(path)
+        assert (game.n_agents, game.action_counts) == (2, (2, 2))
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.game"
         path.write_text('{"matrix": [[1.0]\n')
@@ -542,6 +577,12 @@ class TestCliInterface:
             ({**HASPI_SPEC, "name": 5}, "'name' must be a string, got 5"),
             ({**HASPI_SPEC, "out": 5}, "'out' must be a string or null, got 5"),
             ({**HASPI_SPEC, "out": ["dir"]}, "'out' must be a string or null"),
+            ({**HASPI_SPEC, "alpha": "1"}, "'alpha' must be a number, got '1'"),
+            ({**HASPI_SPEC, "alpha": True}, "'alpha' must be a number, got True"),
+            ({**HASPI_SPEC, "max_iters": 2.5}, "'max_iters' must be an integer, got 2.5"),
+            ({**HASPI_SPEC, "max_iters": True}, "'max_iters' must be an integer, got True"),
+            ({**HASPI_SPEC, "seed": "3"}, "'seed' must be an integer, got '3'"),
+            ({**HASPI_SPEC, "alpha": -(10**400)}, "'alpha' must be finite"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
@@ -551,6 +592,10 @@ class TestCliInterface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not list(tmp_path.glob("*_summary.json"))
+
+    def test_integral_numbers_are_integers(self):
+        spec = parse_experiment({**HASPI_SPEC, "max_iters": 3.0, "seed": 7})
+        assert (spec.max_iters, spec.seed) == (3, 7) and type(spec.max_iters) is int
 
     def test_null_out_is_the_default(self):
         assert parse_experiment({**HASPI_SPEC, "out": None}).out is None

@@ -19,6 +19,7 @@ from maxent_marl import (
     full_neighborhood,
     haspi_solve,
     haspi_step,
+    joint_action_table,
     joint_policy_from_rows,
     kl_ball,
     kl_drift,
@@ -40,14 +41,15 @@ from maxent_marl import (
     trivial_drift,
     uniform_joint_policy,
 )
-from maxent_marl import haspi, qre_oracle
+from maxent_marl import game_core, haspi, qre_oracle
 from maxent_marl.haspi import (
     _boltzmann_rule,
     _sequential_sweep,
     _simultaneous_sweep,
     expected_conditional_q,
 )
-from maxent_marl.soft_dp import _agent_coefficients, _contract
+from maxent_marl.game_core import _policy_arrays
+from maxent_marl.soft_dp import _agent_coefficients, _contract, _evaluate_tables, _tables
 from maxent_marl.mehaml import _mirror_rule
 from conftest import random_start, suite_game, suite_params
 
@@ -342,14 +344,16 @@ def sweep_coefficients(game, jp, q, alpha, order, reuse):
     """Each agent's (updated prefix, agent, coefficients) in one sweep."""
     seen = []
 
-    def rule(joint_policy_old, updated, agent, coefficients, alpha):
-        seen.append((list(updated), agent, coefficients))
-        return _boltzmann_rule(joint_policy_old, updated, agent, coefficients, alpha)
+    def rule(old, new, prefix, coefficients, alpha):
+        updated = [AgentPolicy(i, new[0][i]) for i in prefix[:-1]]
+        seen.append((updated, prefix[-1], coefficients))
+        return _boltzmann_rule(old, new, prefix, coefficients, alpha)
 
+    arrays = _policy_arrays(jp)
     if order is None:
-        _simultaneous_sweep(game, jp, q, alpha, rule, reuse)
+        _simultaneous_sweep(game, arrays, q.values, alpha, rule, reuse)
     else:
-        _sequential_sweep(game, jp, q, alpha, Permutation(order), rule, reuse)
+        _sequential_sweep(game, arrays, q.values, alpha, Permutation(order).order, rule, reuse)
     return seen
 
 
@@ -377,7 +381,7 @@ class TestSweepCoefficients:
         jp = random_start(game, k)
         q = evaluate_policy_exact(game, jp, alpha)
         checked = 0
-        for reuse in (None, _agent_coefficients(game, jp, q.values)):
+        for reuse in (None, _agent_coefficients(game, _tables(jp), q.values)):
             for order in itertools.permutations(range(game.n_agents)):
                 for updated, agent, coef in sweep_coefficients(game, jp, q, alpha, order, reuse):
                     expected = expected_conditional_q(game, q, jp, updated, agent, alpha)
@@ -396,7 +400,7 @@ class TestSweepCoefficients:
         game, k, alpha = case
         jp = random_start(game, k)
         q = evaluate_policy_exact(game, jp, alpha)
-        for reuse in (None, _agent_coefficients(game, jp, q.values)):
+        for reuse in (None, _agent_coefficients(game, _tables(jp), q.values)):
             seen = sweep_coefficients(game, jp, q, alpha, None, reuse)
             assert [agent for _u, agent, _c in seen] == list(range(game.n_agents))
             for updated, agent, coef in seen:
@@ -544,7 +548,7 @@ def test_batched_contraction_is_the_per_iterate_one_bit_for_bit():
     for game, iterates in batch_cases():
         tables = [np.stack([jp.agents[i].table for jp, _ in iterates]) for i in range(game.n_agents)]
         q_values = np.stack([q for _, q in iterates])
-        singles = [_agent_coefficients(game, jp, q) for jp, q in iterates]
+        singles = [_agent_coefficients(game, _tables(jp), q) for jp, q in iterates]
         for i in range(game.n_agents):
             batched = _contract(game, tables, q_values, (i,))
             assert batched.shape == (len(iterates),) + singles[0][i].shape
@@ -590,16 +594,16 @@ class TestSolverBuiltPolicies:
     )
     def test_row_rules_reject_a_non_finite_row(self, rule, message):
         game = random_game(3, 2, 2, (2, 3), -1.0, 1.0, 0.5)
-        jp = uniform_joint_policy(game)
+        arrays = _policy_arrays(uniform_joint_policy(game))
         coefficients = np.zeros((2, 3))
         coefficients[1, 2] = np.nan
         with pytest.raises(RuntimeError, match=message):
-            rule(jp, (), 1, coefficients, 1.0)
+            rule(arrays, arrays, (1,), coefficients, 1.0)
 
     def test_oracle_rejects_a_non_finite_response(self, monkeypatch):
         game = random_game(3, 2, 2, (2, 3), -1.0, 1.0, 0.5)
 
-        def nan_coefficients(game, joint_policy, q_values):
+        def nan_coefficients(game, tables, q_values):
             return [np.full((game.n_states, c), np.nan) for c in game.action_counts]
 
         monkeypatch.setattr(qre_oracle, "_agent_coefficients", nan_coefficients)
@@ -693,3 +697,110 @@ class TestBoundaryChecks:
         for call in calls:
             with pytest.raises(ValueError, match="at most 11 agents"):
                 call()
+
+
+def core_calls(monkeypatch, solve):
+    """``solve()``'s result, the tables it passes to ``_log_and_entropy``
+    (kept alive, so their ids stay distinct), and how many AgentPolicy and
+    JointPolicy objects it builds."""
+    logged, built = [], {AgentPolicy: 0, JointPolicy: 0}
+    log_and_entropy = game_core._log_and_entropy
+
+    def logged_call(table):
+        logged.append(table)
+        return log_and_entropy(table)
+
+    def counted(cls):
+        post_init = cls.__post_init__
+
+        def counted_post_init(self):
+            built[cls] += 1
+            post_init(self)
+
+        return counted_post_init
+
+    with monkeypatch.context() as patch:
+        patch.setattr(game_core, "_log_and_entropy", logged_call)
+        for cls in built:
+            patch.setattr(cls, "__post_init__", counted(cls))
+        result = solve()
+    return result, logged, built
+
+
+def oracle_run(game, start, options):
+    solution = qre_fixed_point(
+        game, options.alpha, max_iters=options.max_outer_iters, initial_joint_policy=start,
+        record_trace=options.record_trace,
+    )
+    records = solution.trace.iterations if solution.trace else []
+    return solution.joint_policy, solution.iterations - 1, records
+
+
+def loop_run(solve):
+    def run(game, start, options):
+        policy, trace = solve(game, start, options)
+        return policy, trace.sweeps, trace.iterations
+
+    return run
+
+
+# Each returns the final policy, the sweeps made and the records.
+CORE_SOLVERS = {
+    "haspi": loop_run(lambda game, start, options: haspi_solve(game, start, options)[::2]),
+    "masac": loop_run(lambda game, start, options: masac_solve(game, start, options)[::2]),
+    "mehaml-kl": loop_run(lambda game, start, options: mehaml_solve(
+        game, start, options.alpha, kl_drift(1.0), full_neighborhood(), options=options
+    )),
+    "mehaml-line-search": loop_run(lambda game, start, options: mehaml_solve(
+        game, start, options.alpha, kl_drift(1.0), kl_ball(0.1), options=options,
+        mode="line_search",
+    )),
+    "oracle": oracle_run,
+}
+
+
+@pytest.mark.parametrize("record_trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("solver", CORE_SOLVERS)
+@pytest.mark.parametrize("k", [3, 6])
+def test_the_loops_iterate_on_tables_not_policies(k, solver, record_trace, monkeypatch):
+    """A timing-free guard on the array core: each table a solver makes has
+    its logs computed once, and policies are built for the result only
+    (and, in a line search, once per table for the drift's arguments)."""
+    _k, n_agents, n_states, counts, gamma, alpha = list(suite_params(k + 1))[k]
+    game = suite_game(k, n_agents, n_states, counts, gamma)
+    start = random_start(game, k)  # fresh: its logs are not computed yet
+    options = HaspiOptions(
+        alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k),
+        record_trace=record_trace,
+    )
+    (policy, sweeps, records), logged, built = core_calls(
+        monkeypatch, lambda: CORE_SOLVERS[solver](game, start, options)
+    )
+    iterates = sweeps + 1
+    assert sweeps > 1 and len(policy.agents) == n_agents
+    assert len({id(table) for table in logged}) == len(logged)  # once per table
+    if solver == "oracle":  # its last relaxation may make tables it does not evaluate
+        assert iterates * n_agents <= len(logged) <= (iterates + 1) * n_agents
+    else:
+        assert len(logged) == iterates * n_agents
+    if record_trace:
+        made = {id(table) for table in logged}
+        assert len(records) == iterates
+        assert all(id(t) in made for rec in records for t in rec.policies)
+    if solver == "mehaml-line-search":
+        assert built[JointPolicy] <= sweeps + 1
+        assert built[AgentPolicy] <= (iterates + 1) * n_agents
+    else:
+        assert built == {AgentPolicy: n_agents, JointPolicy: 1}
+
+
+def test_the_evaluation_kernel_is_the_public_evaluation_bit_for_bit():
+    games = [(suite_game(k, n, s, c, g), k, a) for k, n, s, c, g, a in suite_params(100)]
+    for game, k, alpha in games + [PAIRWISE_GAME]:
+        jp = random_start(game, k)
+        tables, _logs, entropies = _policy_arrays(jp)
+        q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))
+        assert not q.flags.writeable
+        assert q.tobytes() == evaluate_policy_exact(game, jp, alpha).values.tobytes()
+        assert joint.tobytes() == joint_action_table(jp).tobytes()
+        assert bonus.tobytes() == jp.entropy_bonus.tobytes()

@@ -28,6 +28,7 @@ from maxent_marl import (
     uniform_state_weighting,
 )
 from maxent_marl.common import boltzmann_rows
+from maxent_marl.game_core import AgentPolicy, _policy_arrays
 from maxent_marl.haspi import expected_conditional_q
 from maxent_marl.mehaml import (
     DRIFTS,
@@ -288,16 +289,21 @@ class TestWholeTableLineSearch:
             for agent in range(n_agents):
                 coef = expected_conditional_q(game, q, jp, updated, agent, alpha)
                 if isinstance(drift, KlDrift):
-                    target = _kl_regularized_rows(coef, jp.agents[agent], alpha, drift.beta)
+                    log = jp.agents[agent]._log_table
+                    target = _kl_regularized_rows(coef, log, alpha, drift.beta)
                 else:
                     target = boltzmann_rows(coef, alpha)
                 expected, chosen = reference_line_search(
                     game, jp, agent, coef, target, alpha, drift, hood, updated
                 )
-                got = rule(jp, updated, agent, coef, alpha)
-                assert got.table.tobytes() == expected.tobytes()
+                mixed = jp
+                for policy in updated:
+                    mixed = mixed.replace(policy)
+                prefix = tuple(p.agent_id for p in updated) + (agent,)
+                got = rule(_policy_arrays(jp), _policy_arrays(mixed), prefix, coef, alpha)
+                assert got.tobytes() == expected.tobytes()
                 steps.update(chosen)
-                updated.append(got)
+                updated.append(AgentPolicy(agent, got))
         # Full steps, shorter steps and kept rows all occur.
         assert 1.0 in steps and len(steps) > 2
 

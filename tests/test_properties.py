@@ -4,6 +4,9 @@ Hypothesis draws the games; every run is derandomized and keeps no example
 database, so Tier-1 sees the same examples each time.
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +20,7 @@ from maxent_marl import (
     AgentPolicy,
     CooperativeMarkovGame,
     HaspiOptions,
+    cli,
     full_neighborhood,
     haspi_solve,
     joint_policy_from_rows,
@@ -155,3 +159,85 @@ def test_game_files_round_trip_bit_exactly(game):
     for name in ("reward", "transition", "initial_dist"):
         ours, theirs = getattr(loaded, name), getattr(game, name)
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+
+
+# A 2-agent, 2-state game file and one spec per subcommand that reads it. The
+# property mutates one of them and drives ``cli.main`` on the result.
+CLI_GAME = {
+    "n_agents": 2,
+    "states": 2,
+    "action_counts": [2, 2],
+    "gamma": 0.5,
+    "initial_dist": [0.5, 0.5],
+    "reward": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 1.0], [0.5, 0.0]]],
+    "transition": [
+        [[[0.9, 0.1], [0.5, 0.5]], [[0.5, 0.5], [0.1, 0.9]]],
+        [[[0.2, 0.8], [0.5, 0.5]], [[0.5, 0.5], [0.8, 0.2]]],
+    ],
+}
+CLI_RUNS = {
+    "haspi": ("solve", {"solver": "haspi", "game": "game.json", "alpha": 1.0, "seed": 1,
+                        "permutation": "random", "tol_policy": 1e-10, "eval": "exact"}),
+    "mehaml": ("solve", {"solver": "mehaml", "game": "game.json", "alpha": 1.0,
+                         "drift": {"name": "kl", "beta": 1.0},
+                         "neighborhood": {"name": "kl_ball", "radius": 0.1},
+                         "mode": "line_search", "initial_policy": [[0.6, 0.4], [0.5, 0.5]]}),
+    "qre": ("qre", {"solver": "qre-oracle", "game": "game.json", "alpha": 1.0, "damping": 0.5}),
+    "sweep": ("sweep-alpha", {"solver": "masac", "game": "game.json", "alphas": [0.5, 2.0]}),
+    "baseline": ("baseline", {"solver": "happo", "game": {"matrix": [[1.0, 0.0], [0.0, 2.0]]},
+                              "update_mode": "mirror", "step_size": 0.1, "iterations": 5,
+                              "permutation": [1, 0]}),
+    "validate": ("validate", None),
+}
+# Values of the wrong type for any field, and the non-finite JSON literals.
+WRONG_VALUES = ("x", "1", True, None, [], {}, [1, "a"], 2.5, -1, 0, 10**30, -(10**400),
+                {"name": "kl"})
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand, its game file and spec texts, one of them mutated."""
+    run = draw(st.sampled_from(sorted(CLI_RUNS)))
+    command, spec = CLI_RUNS[run]
+    texts = {"game.json": CLI_GAME}
+    if spec is not None:
+        texts["spec.json"] = spec
+    target = draw(st.sampled_from(sorted(texts)))
+    data = json.loads(json.dumps(texts[target]))
+    mutations = ("wrong type", "unknown key", "non-finite", "missing", "truncated")
+    mutation = draw(st.sampled_from(mutations))
+    key = draw(st.sampled_from(sorted(data)))
+    if mutation == "wrong type":
+        value = draw(st.sampled_from(WRONG_VALUES))
+        if isinstance(data[key], list) and data[key] and draw(st.booleans()):
+            data[key][draw(st.integers(0, len(data[key]) - 1))] = value
+        else:
+            data[key] = value
+    elif mutation == "unknown key":
+        data[draw(st.sampled_from(("bogus", "Alpha", "", "gamma ")))] = 1
+    elif mutation == "non-finite":
+        data[key] = draw(st.sampled_from(NON_FINITE))
+    elif mutation == "missing":
+        del data[key]
+    texts = {name: json.dumps(value) for name, value in texts.items()}
+    texts[target] = json.dumps(data)
+    if mutation == "truncated":
+        texts[target] = texts[target][: draw(st.integers(0, len(texts[target]) - 1))]
+    return command, texts
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(cli_inputs())
+def test_cli_exits_with_a_documented_code_on_mutated_inputs(case):
+    command, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text)
+        target = "game.json" if command == "validate" else "spec.json"
+        argv = [command, str(Path(tmp) / target), "--quiet"]
+        if command != "validate":
+            argv += ["--out", str(Path(tmp) / "out"), "--max-iters", "20"]
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
