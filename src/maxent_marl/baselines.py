@@ -18,12 +18,13 @@ the sweep. Advantages are computed at temperature zero throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .common import IterationRecord, SolveTrace
+from .common import IterationRecord, SolveTrace, _check_argument
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -63,10 +64,10 @@ class BaselineOptions:
             raise ValueError(f"unknown baseline algorithm {self.algorithm!r}")
         if self.update_mode not in _UPDATE_MODES:
             raise ValueError(f"unknown update mode {self.update_mode!r}")
-        if self.update_mode == "mirror" and self.step_size <= 0:
-            raise ValueError("mirror mode needs a positive step size")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        # Written so that NaN fails the test too.
+        if self.update_mode == "mirror" and not 0 < self.step_size < math.inf:
+            raise ValueError(f"mirror mode needs a finite positive step size: {self.step_size}")
+        _check_argument("iteration cap", self.iterations, "iterations")
         if self.permutation is not None:
             object.__setattr__(
                 self, "permutation", tuple(int(i) for i in self.permutation)

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineOptions, baseline_run
-from .common import IterationRecord, SolveTrace
+from .common import SolveTrace
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -53,7 +53,7 @@ from .haspi import (
 )
 from .mehaml import DRIFTS, NEIGHBORHOODS, mehaml_solve
 from .qre_oracle import qre_fixed_point, qre_residual
-from .soft_dp import EvaluationNotConverged, evaluate_policy_exact, soft_value
+from .soft_dp import EvaluationNotConverged, evaluate_policy_exact, maxent_return
 from .specs import (
     ExperimentSpec,
     GameValidationError,
@@ -115,26 +115,10 @@ def _permutation_rule(spec: ExperimentSpec):
     return fixed_order(spec.permutation)
 
 
-def _haspi_options(spec: ExperimentSpec, alpha: float) -> HaspiOptions:
-    return HaspiOptions(
-        alpha=alpha,
-        tol_policy=spec.tol_policy if spec.tol_policy is not None else 1e-10,
-        tol_eval=spec.tol_eval if spec.tol_eval is not None else 1e-12,
-        eval_method=spec.eval_method or "exact",
-        max_outer_iters=spec.max_iters if spec.max_iters is not None else 10_000,
-        permutation_rule=_permutation_rule(spec),
-        record_trace=spec.record_trace,
-    )
-
-
-def _exact_final_record(
-    options: HaspiOptions, trace: SolveTrace
-) -> Optional[IterationRecord]:
-    """The trace record of the returned policy, if it holds what
-    :func:`_final_stats` would compute: the same exact evaluation."""
-    if options.record_trace and options.eval_method == "exact":
-        return trace.iterations[-1]
-    return None
+def _given(**fields: object) -> dict[str, object]:
+    """The fields a spec sets. The solver takes the others from its own
+    defaults, and rejects a set value it cannot run, such as a falsy one."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _final_stats(
@@ -147,9 +131,7 @@ def _final_stats(
             @ np.einsum("sa,sa->s", joint_action_table(policy), game.reward)
         )
         return value, float("nan")
-    q = evaluate_policy_exact(game, policy, alpha)
-    v = soft_value(game, policy, q, alpha)
-    return float(game.initial_dist @ v.values), qre_residual(game, policy, alpha, q=q)
+    return maxent_return(game, policy, alpha), qre_residual(game, policy, alpha)
 
 
 def run_experiment(
@@ -163,8 +145,7 @@ def run_experiment(
     summary. Results land in ``out_dir`` (or the spec's ``out``, the
     MAXENT_MARL_OUT environment variable, or the working directory).
     """
-    record, _lines = _run_on_game(spec, resolve_game(spec), out_dir, write)
-    return record
+    return _run_on_game(spec, resolve_game(spec), out_dir, write)[0]
 
 
 def _run_on_game(
@@ -179,75 +160,71 @@ def _run_on_game(
     alpha = spec.alpha
     start = time.perf_counter()
 
-    if spec.solver in ("haspi", "masac"):
-        options = _haspi_options(spec, alpha)
-        solve = haspi_solve if spec.solver == "haspi" else masac_solve
-        policy, _q, trace = solve(game, initial, options)
-        status = trace.status
-        final_record = _exact_final_record(options, trace)
-    elif spec.solver == "mehaml":
-        drift_cfg = dict(spec.drift or {"name": "trivial"})
-        drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
-        hood_cfg = dict(spec.neighborhood or {"name": "full"})
-        neighborhood = NEIGHBORHOODS[hood_cfg.pop("name")](**hood_cfg)
-        options = _haspi_options(spec, alpha)
-        policy, trace = mehaml_solve(
-            game,
-            initial,
+    if spec.solver in ("haspi", "masac", "mehaml"):
+        options = HaspiOptions(
             alpha,
-            drift,
-            neighborhood,
-            options=options,
-            mode=spec.mode or "closed_form",
+            permutation_rule=_permutation_rule(spec),
+            record_trace=spec.record_trace,
+            **_given(
+                tol_policy=spec.tol_policy,
+                tol_eval=spec.tol_eval,
+                eval_method=spec.eval_method,
+                max_outer_iters=spec.max_iters,
+            ),
         )
-        status = trace.status
-        final_record = _exact_final_record(options, trace)
+        if spec.solver == "mehaml":
+            drift_cfg = dict(spec.drift or {"name": "trivial"})
+            drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
+            hood_cfg = dict(spec.neighborhood or {"name": "full"})
+            hood = NEIGHBORHOODS[hood_cfg.pop("name")](**hood_cfg)
+            policy, trace = mehaml_solve(
+                game, initial, alpha, drift, hood, options=options, **_given(mode=spec.mode)
+            )
+        else:
+            solve = haspi_solve if spec.solver == "haspi" else masac_solve
+            policy, _q, trace = solve(game, initial, options)
+        # The last record holds the returned policy's exact evaluation, if
+        # the solve evaluated exactly: what _final_stats would compute.
+        exact = options.record_trace and options.eval_method == "exact"
+        final_record = trace.iterations[-1] if exact else None
     elif spec.solver == "qre-oracle":
         solution = qre_fixed_point(
             game,
             alpha,
-            damping=spec.damping if spec.damping is not None else 0.5,
-            tol=spec.tol_policy if spec.tol_policy is not None else 1e-10,
-            max_iters=spec.max_iters if spec.max_iters is not None else 10_000,
             initial_joint_policy=initial,
             record_trace=spec.record_trace,
+            **_given(damping=spec.damping, tol=spec.tol_policy, max_iters=spec.max_iters),
         )
         policy = solution.joint_policy
         trace = solution.trace or SolveTrace(
-            iterations=[], status="", sweeps=max(0, solution.iterations - 1)
+            iterations=[], status=solution.status, sweeps=max(0, solution.iterations - 1)
         )
-        status = solution.status
         # The best iterate is the first one with the smallest residual.
         final_record = next(
             (r for r in trace.iterations if r.qre_residual == solution.residual), None
         )
     else:  # mappo / happo
         options = BaselineOptions(
-            algorithm=spec.solver,
-            update_mode=spec.update_mode or "mirror",
-            step_size=spec.step_size if spec.step_size is not None else 0.1,
-            iterations=spec.iterations if spec.iterations is not None else 200,
+            spec.solver,
             permutation=spec.permutation,
+            **_given(
+                update_mode=spec.update_mode, step_size=spec.step_size, iterations=spec.iterations
+            ),
         )
         trace = baseline_run(game, initial, options)
-        policy = None
-        status = trace.status
+        policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
         final_record = None
 
-    if policy is None:
-        policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
     if final_record is not None:
         final_return, final_residual = final_record.maxent_return, final_record.qre_residual
-    else:
-        final_return, final_residual = _final_stats(
-            game, policy, None if spec.solver in ("mappo", "happo") else alpha
-        )
+    else:  # a baseline spec has no alpha
+        final_return, final_residual = _final_stats(game, policy, alpha)
     record = ResultRecord(
         name=spec.name,
         solver=spec.solver,
         alpha=alpha,
         seed=spec.seed,
-        status=status,
+        status=trace.status,
         iterations=trace.sweeps,
         final_return=final_return,
         final_qre_residual=final_residual,
@@ -393,14 +370,8 @@ def sweep_alpha(
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    updates: dict[str, object] = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.tol is not None:
-        updates["tol_policy"] = args.tol
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
-    return dc_replace(spec, **updates) if updates else spec
+    updates = _given(seed=args.seed, tol_policy=args.tol, max_iters=args.max_iters)
+    return dc_replace(spec, **updates)
 
 
 def _print_record(record: ResultRecord, quiet: bool) -> None:

@@ -1,5 +1,5 @@
-"""Definitions the solvers share: the Boltzmann row rule, the gap of a
-policy to its logit response, and the solve trace.
+"""Definitions the solvers share: what a valid argument is, the Boltzmann
+row rule, the gap of a policy to its logit response, and the solve trace.
 
 A leaf module: it imports nothing from the package, so the sequential
 solvers, the oracle, the baselines and the spec layer all import from it
@@ -11,12 +11,33 @@ documented them first (:mod:`maxent_marl.haspi` and
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = ["boltzmann_rows", "IterationRecord", "SolveTrace"]
+
+# What a valid argument is, by kind: a test that NaN fails, and the rule a
+# failure names. The evaluations of :mod:`maxent_marl.soft_dp` take any
+# finite temperature (alpha = 0 gives the unregularized values); the
+# solvers, the Boltzmann rows and the logit functions need a positive one.
+_ARGUMENT_RULES = {
+    "temperature": (
+        lambda x: 0 < x < math.inf, "temperature must be finite and strictly positive"
+    ),
+    "evaluation temperature": (lambda x: -math.inf < x < math.inf, "temperature must be finite"),
+    "tolerance": (lambda x: 0 < x < math.inf, "tolerances must be finite and positive"),
+    "iteration cap": (lambda x: x >= 1, "iteration caps must be at least 1"),
+}
+
+
+def _check_argument(kind: str, value, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a valid ``kind``."""
+    test, rule = _ARGUMENT_RULES[kind]
+    if not test(value):
+        raise ValueError(f"{rule}, got {name}={value}")
 
 
 def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
@@ -27,8 +48,13 @@ def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
     each last-axis row is normalized on its own, with the same bits as a
     call on that row alone.
     """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
+    _check_argument("temperature", alpha, "alpha")
+    return _boltzmann_rows(coefficients, alpha)
+
+
+def _boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`boltzmann_rows` at a temperature the caller has checked: the
+    solvers check theirs once per solve, not once per table of rows."""
     z = coefficients / alpha
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -44,7 +70,7 @@ def _logit_responses(
     axes, such as the iterates of a solve stacked on axis 0; the gap then
     has one entry per batch member, with the bits of an unbatched call.
     """
-    responses = [boltzmann_rows(coef, alpha) for coef in coefficients]
+    responses = [_boltzmann_rows(coef, alpha) for coef in coefficients]
     gaps = [np.abs(r - t).max(axis=(-2, -1)) for r, t in zip(responses, tables)]
     return responses, functools.reduce(np.maximum, gaps)
 

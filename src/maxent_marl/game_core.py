@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,28 +41,6 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
-
-
-class _filled_once:
-    """A read-only attribute computed on first access and stored in the
-    instance dict, where later lookups find it before this descriptor.
-
-    ``functools.cached_property`` does the same under a lock taken on each
-    first access. Two threads racing on a first access both compute the
-    value, and the last one stored wins: the values are derived from
-    read-only arrays, so they are equal.
-    """
-
-    def __init__(self, func: Callable):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +111,7 @@ class CooperativeMarkovGame:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "initial_dist", initial)
 
-    @_filled_once
+    @cached_property
     def transition_norm(self) -> float:
         """The induced sup-norm of P: its largest absolute row sum over (s, a).
 
@@ -141,7 +120,7 @@ class CooperativeMarkovGame:
         """
         return float(np.abs(self.transition).sum(axis=2).max())
 
-    @_filled_once
+    @cached_property
     def _finite_rows(self) -> bool:
         """Whether the reward and the kernel have finite absolute row sums.
 
@@ -210,7 +189,7 @@ class AgentPolicy:
     def n_actions(self) -> int:
         return self.table.shape[1]
 
-    @_filled_once
+    @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
         """log pi, -inf where pi is not positive, and the row entropies.
 
@@ -260,13 +239,13 @@ class JointPolicy:
     def n_states(self) -> int:
         return self.agents[0].n_states
 
-    @_filled_once
+    @cached_property
     def _action_table(self) -> np.ndarray:
         table = _joint_table([agent.table for agent in self.agents])
         table.flags.writeable = False
         return table
 
-    @_filled_once
+    @cached_property
     def entropy_bonus(self) -> np.ndarray:
         """sum_i H(pi^i(.|s)) for every state, shape (|S|,), read-only."""
         total = _entropy_bonus([policy_entropy_rows(agent) for agent in self.agents])

@@ -20,13 +20,18 @@ policies instead of conditioning on the updated prefix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import IterationRecord, SolveTrace, _logit_responses, boltzmann_rows
+from .common import (
+    IterationRecord,
+    SolveTrace,
+    _boltzmann_rows,
+    _check_argument,
+    _logit_responses,
+)
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -38,12 +43,13 @@ from .game_core import (
 )
 from .soft_dp import (
     SoftQTable,
-    _check_conditional,
+    _check_evaluated,
+    _check_prefix,
     _conditional_q,
     _contract,
     _evaluate_tables,
     _policy_value,
-    _start_arrays,
+    _start,
     _with_entropy,
 )
 
@@ -133,17 +139,12 @@ class HaspiOptions:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails the tests too.
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(
-                f"temperature must be finite and strictly positive, got {self.alpha}"
-            )
-        if not (0 < self.tol_policy < math.inf and 0 < self.tol_eval < math.inf):
-            raise ValueError("tolerances must be finite and positive")
+        _check_argument("temperature", self.alpha, "alpha")
+        _check_argument("tolerance", self.tol_policy, "tol_policy")
+        _check_argument("tolerance", self.tol_eval, "tol_eval")
         if self.eval_method not in ("exact", "iterative"):
             raise ValueError(f"unknown eval_method {self.eval_method!r}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
+        _check_argument("iteration cap", self.max_outer_iters, "max_outer_iters")
 
 
 def expected_conditional_q(
@@ -165,7 +166,8 @@ def expected_conditional_q(
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     if agent in prefix_ids:
         raise ValueError(f"agent {agent} already appears in the updated prefix")
-    prefix = _check_conditional(game, joint_policy_old, q_old, prefix_ids + (agent,))
+    _check_evaluated(game, joint_policy_old, q_old, alpha)
+    prefix = _check_prefix(game, prefix_ids + (agent,))
     values = _conditional_q(game, joint_policy_old, q_old.values, prefix, alpha)
     for policy in updated_prefix:
         values = np.einsum("sa...,sa->s...", values, policy.table)
@@ -202,7 +204,7 @@ RowRule = Callable[[Arrays, Arrays, tuple[int, ...], np.ndarray, float], np.ndar
 
 
 def _boltzmann_rule(old, new, prefix, coefficients, alpha):
-    rows = boltzmann_rows(coefficients, alpha)
+    rows = _boltzmann_rows(coefficients, alpha)
     if not np.isfinite(rows).all():  # unreachable with finite Q
         raise RuntimeError("Boltzmann update produced a non-finite row")
     return rows
@@ -225,8 +227,7 @@ def boltzmann_local_update(
     responsible for ``q_old`` being the evaluated table of
     ``joint_policy_old``.
     """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
+    _check_argument("temperature", alpha, "alpha")
     coefficients = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
@@ -275,13 +276,6 @@ def _simultaneous_sweep(
     return new
 
 
-def _evaluated(game, joint_policy, alpha, tol_eval):
-    """A checked policy's arrays and soft Q, exact or iterative at ``tol_eval``."""
-    arrays = _start_arrays(game, joint_policy, tol_eval is not None)
-    q = _evaluate_tables(game, arrays[0], arrays[2], alpha, np.eye(game.n_states), tol_eval)[0]
-    return arrays, q
-
-
 def haspi_step(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -295,7 +289,8 @@ def haspi_step(
     iteratively at ``tol_eval`` when given), then updates every agent
     along the permutation, each conditioning on the prefix updated so far.
     """
-    arrays, q = _evaluated(game, joint_policy, alpha, tol_eval)
+    _check_argument("temperature", alpha, "alpha")
+    arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
     return _joint_policy(*_sequential_sweep(game, arrays, q, alpha, permutation.order))
 
 
@@ -306,7 +301,8 @@ def masac_step(
     tol_eval: Optional[float] = None,
 ) -> JointPolicy:
     """Simultaneous variant: every agent updates against old teammates."""
-    arrays, q = _evaluated(game, joint_policy, alpha, tol_eval)
+    _check_argument("temperature", alpha, "alpha")
+    arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
     return _joint_policy(*_simultaneous_sweep(game, arrays, q, alpha))
 
 
@@ -350,9 +346,8 @@ def _policy_iteration_loop(
     """
     alpha = options.alpha
     tol_eval = options.tol_eval if options.eval_method == "iterative" else None
-    arrays = _start_arrays(game, initial_joint_policy, tol_eval is not None)
+    arrays, q, joint, bonus, _ = _start(game, initial_joint_policy, alpha, tol_eval)
     eye = np.eye(game.n_states)
-    q, joint, bonus = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
     sampler = options.permutation_rule.sampler(game.n_agents)
     records: list[IterationRecord] = []
     # Traced iterates: their record fields but the residual, and their soft Q.
@@ -393,7 +388,7 @@ def _policy_iteration_loop(
             new = _sequential_sweep(game, arrays, q, alpha, order, rule, reuse)
         change = _sup_distance(new[0], arrays[0])
         arrays = new
-        q, joint, bonus = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
+        q, joint, bonus, _ = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
         reuse = snapshot(k, order, change)
         if change < options.tol_policy:
             status = "converged"

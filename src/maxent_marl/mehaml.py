@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import SolveTrace, boltzmann_rows
+from .common import SolveTrace, _boltzmann_rows, _check_argument
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -295,8 +295,8 @@ def _kl_regularized_rows(
     whose log ``incumbent_log`` is -inf there (beta = 0 keeps them out).
     """
     if beta == 0.0:
-        return boltzmann_rows(coef, alpha)
-    return boltzmann_rows(beta * incumbent_log + coef, alpha + beta)
+        return _boltzmann_rows(coef, alpha)
+    return _boltzmann_rows(beta * incumbent_log + coef, alpha + beta)
 
 
 class _DriftArguments:
@@ -343,7 +343,7 @@ def _mirror_rule(
         if isinstance(drift, KlDrift):
             target = _kl_regularized_rows(coef, old[1][agent], alpha, drift.beta)
         else:
-            target = boltzmann_rows(coef, alpha)
+            target = _boltzmann_rows(coef, alpha)
         if not np.isfinite(target).all():  # unreachable with finite Q
             raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
@@ -395,8 +395,7 @@ def mehaml_local_update(
     that does not decrease the mirror value, so the returned row never
     scores below the incumbent's.
     """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
+    _check_argument("temperature", alpha, "alpha")
     rule = _mirror_rule(game, drift, neighborhood, mode)
     coef = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
@@ -427,13 +426,8 @@ def mehaml_solve(
     validated but does not alter exact per-state updates (any strictly
     positive weighting shares the same argmax).
     """
-    if options is None:
-        options = HaspiOptions(alpha=alpha)
-    elif options.alpha != alpha:
-        options = dc_replace(options, alpha=alpha)
-    if state_weighting is None:
-        state_weighting = uniform_state_weighting(game.n_states)
-    if state_weighting.weights.shape != (game.n_states,):
+    options = dc_replace(options or HaspiOptions(alpha), alpha=alpha)
+    if state_weighting is not None and state_weighting.weights.shape != (game.n_states,):
         raise ValueError("state weighting length does not match the game")
     rule = _mirror_rule(game, drift, neighborhood, mode)
     jp, _q, trace = _policy_iteration_loop(game, initial_joint_policy, options, rule)

@@ -24,7 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .common import IterationRecord, SolveTrace, _logit_responses, boltzmann_rows
+from .common import (
+    IterationRecord,
+    SolveTrace,
+    _check_argument,
+    _logit_responses,
+    boltzmann_rows,
+)
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -40,13 +46,13 @@ from .game_core import (
 from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
-    _check_conditional,
+    _check_evaluated,
+    _check_prefix,
     _contract,
     _evaluate_tables,
     _policy_value,
-    _start_arrays,
+    _start,
     _tables,
-    evaluate_policy_exact,
     maxent_return,
 )
 
@@ -88,12 +94,7 @@ def logit_response(
     Q-table of the current joint policy (evaluated exactly unless a table
     is supplied).
     """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
-    if q is None:
-        q = evaluate_policy_exact(game, joint_policy, alpha)
-    prefix = _check_conditional(game, joint_policy, q, (agent,))
-    coef = _contract(game, _tables(joint_policy), q.values, prefix)
+    coef = _logit_coefficients(game, joint_policy, (agent,), alpha, q)[1][0]
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
 
 
@@ -104,14 +105,26 @@ def qre_residual(
     q: Optional[SoftQTable] = None,
 ) -> float:
     """Sup-norm gap between the policy and its logit response; 0 at a QRE."""
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
-    if q is None:
-        q = evaluate_policy_exact(game, joint_policy, alpha)
-    _check_conditional(game, joint_policy, q, ())  # covers every (i,) prefix
-    tables = _tables(joint_policy)
-    coefficients = _agent_coefficients(game, tables, q.values)
+    agents = range(game.n_agents)
+    tables, coefficients = _logit_coefficients(game, joint_policy, agents, alpha, q)
     return float(_logit_responses(tables, coefficients, alpha)[1])
+
+
+def _logit_coefficients(game, joint_policy, agents, alpha, q):
+    """The policy's tables, and the logit coefficients of each of ``agents``
+    under ``q`` or, when none is supplied, under the policy's exact soft Q.
+
+    The evaluation checks the policy at its start; a supplied table is
+    checked here against the game and the policy.
+    """
+    _check_argument("temperature", alpha, "alpha")
+    agents = _check_prefix(game, agents)
+    if q is None:
+        (tables, _logs, _entropies), q_values = _start(game, joint_policy, alpha)[:2]
+    else:
+        _check_evaluated(game, joint_policy, q, alpha)
+        tables, q_values = _tables(joint_policy), q.values
+    return tables, [_contract(game, tables, q_values, (i,)) for i in agents]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +170,14 @@ def qre_fixed_point(
     is False in the last two cases, and the caller decides what to do with
     the reported residual.
     """
-    if alpha <= 0:
-        raise ValueError(f"temperature must be positive, got {alpha}")
+    _check_argument("temperature", alpha, "alpha")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_argument("tolerance", tol, "tol")
+    _check_argument("iteration cap", max_iters, "max_iters")
     jp = initial_joint_policy if initial_joint_policy is not None else uniform_joint_policy(game)
-    tables, logs, entropies = best = _start_arrays(game, jp)
+    best, q, joint, bonus, _ = _start(game, jp, alpha)
+    tables, logs, entropies = best
     eye = np.eye(game.n_states)
     best_residual = np.inf
     records = [] if record_trace else None
@@ -175,7 +188,8 @@ def qre_fixed_point(
     streaks = no_streaks
     step = np.inf  # ||pi_k - pi_{k-1}|| = damping * previous residual
     for k in range(max_iters):
-        q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, eye)
+        if k:
+            q, joint, bonus, _ = _evaluate_tables(game, tables, entropies, alpha, eye)
         responses, gap = _logit_responses(tables, _agent_coefficients(game, tables, q), alpha)
         residual = float(gap)
         if math.isnan(residual):  # unreachable with a finite Q
@@ -262,8 +276,7 @@ def joint_kl_objective(
     The Boltzmann density lives on joint actions; the candidate's joint
     distribution is its per-agent product, enumerated exactly.
     """
-    if q_old.values.shape != (game.n_states, game.n_joint_actions):
-        raise ValueError("soft Q shape does not match game")
+    _check_evaluated(game, candidate_joint_policy, q_old, alpha)
     target = boltzmann_rows(q_old.values[s], alpha)
     p = joint_action_table(candidate_joint_policy)[s]
     return float(_kl_rows(p, _log_and_entropy(target)[0]))

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .common import _check_argument
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -55,6 +56,9 @@ __all__ = [
 _AXIS_LETTERS = "abcdefghijk"
 
 _EXACT_RESIDUAL_TOL = 1e-9
+
+# The iteration cap of an iterative evaluation that is given none.
+_MAX_BACKUPS = 100_000
 
 # Joint actions per state from which conditionals contract in pairwise
 # steps instead of one einsum over every operand (see _conditional_plan).
@@ -139,12 +143,6 @@ def zero_soft_q(game: CooperativeMarkovGame, alpha: float) -> SoftQTable:
     return SoftQTable(alpha, np.zeros((game.n_states, game.n_joint_actions)))
 
 
-def _check_shapes(game: CooperativeMarkovGame, q: SoftQTable) -> None:
-    expected = (game.n_states, game.n_joint_actions)
-    if q.values.shape != expected:
-        raise ValueError(f"soft Q shape {q.values.shape} does not match game {expected}")
-
-
 def _check_policy(game: CooperativeMarkovGame, joint_policy: JointPolicy) -> None:
     if joint_policy.n_agents != game.n_agents:
         raise ValueError(
@@ -159,6 +157,17 @@ def _check_policy(game: CooperativeMarkovGame, joint_policy: JointPolicy) -> Non
             raise ValueError(
                 f"agent {agent.agent_id} has {agent.n_actions} actions, game expects {count}"
             )
+
+
+def _check_evaluated(
+    game: CooperativeMarkovGame, joint_policy: JointPolicy, q: SoftQTable, alpha: float
+) -> None:
+    """Validate a temperature, a policy and a soft Q table for the game."""
+    _check_argument("evaluation temperature", alpha, "alpha")
+    expected = (game.n_states, game.n_joint_actions)
+    if q.values.shape != expected:
+        raise ValueError(f"soft Q shape {q.values.shape} does not match game {expected}")
+    _check_policy(game, joint_policy)
 
 
 def _policy_value(
@@ -207,8 +216,7 @@ def soft_value(
     alpha: float,
 ) -> SoftValueTable:
     """V(s) = E_{a~pi}[Q(s,a)] + alpha * sum_i H(pi^i(.|s))."""
-    _check_shapes(game, q)
-    _check_policy(game, joint_policy)
+    _check_evaluated(game, joint_policy, q, alpha)
     with np.errstate(invalid="ignore", over="ignore"):
         values = _policy_value(
             joint_action_table(joint_policy), q.values, joint_policy.entropy_bonus, alpha
@@ -236,7 +244,7 @@ def evaluate_policy_iterative(
     joint_policy: JointPolicy,
     alpha: float,
     tol: float = 1e-10,
-    max_iters: int = 100_000,
+    max_iters: int = _MAX_BACKUPS,
 ) -> tuple[SoftQTable, int]:
     """Fixed-point iteration of the backup operator from Q = 0.
 
@@ -247,15 +255,11 @@ def evaluate_policy_iterative(
     backup is already exact for gamma = 0. Raises
     :class:`EvaluationNotConverged` if ``max_iters`` is exhausted first.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _start_arrays(game, joint_policy, iterative=True)  # checks the discount and the policy
-    joint, bonus = joint_action_table(joint_policy), joint_policy.entropy_bonus
-    q, iterations = _iterated_q(game, joint, bonus, alpha, tol, max_iters)
-    return SoftQTable(alpha, q), iterations
+    _arrays, q, _joint, _bonus, backups = _start(game, joint_policy, alpha, tol, max_iters)
+    return SoftQTable(alpha, q), backups
 
 
-def _iterated_q(game, joint, bonus, alpha, tol, max_iters=100_000) -> tuple[np.ndarray, int]:
+def _iterated_q(game, joint, bonus, alpha, tol, max_iters) -> tuple[np.ndarray, int]:
     """:func:`evaluate_policy_iterative` on a policy's joint table and
     entropy bonus; returns Q and the number of backups."""
 
@@ -304,36 +308,49 @@ def evaluate_policy_exact(
     stochastic or not, and a NaN in the reward or the kernel makes the
     bound NaN, which fails the check.
     """
-    tables, _logs, entropies = _start_arrays(game, joint_policy)
-    q = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))[0]
-    return SoftQTable(alpha, q)
+    return SoftQTable(alpha, _start(game, joint_policy, alpha)[1])
 
 
-def _start_arrays(game, joint_policy, iterative=False):
-    """A policy's arrays (:func:`~maxent_marl.game_core._policy_arrays`),
-    with the game's discount and the policy checked for their evaluation:
-    once per solve, as every later iterate has the same shapes."""
+def _start(game, joint_policy, alpha, tol=None, max_iters=_MAX_BACKUPS):
+    """The start of every public evaluation and of every solve: the
+    policy's arrays (:func:`~maxent_marl.game_core._policy_arrays`) and
+    what :func:`_evaluate_tables` makes of them, exact or, given ``tol``,
+    iterative.
+
+    The temperature, an iterative evaluation's tolerance and cap, the
+    game's discount and the policy are checked here, once, before
+    anything is evaluated: every later iterate of a solve has the same
+    shapes.
+    """
+    _check_argument("evaluation temperature", alpha, "alpha")
+    if tol is not None:
+        _check_argument("tolerance", tol, "tol")
+        _check_argument("iteration cap", max_iters, "max_iters")
     if game.gamma >= 1.0:
-        method = "iterative" if iterative else "exact"
+        method = "exact" if tol is None else "iterative"
         raise ValueError(f"{method} evaluation requires gamma < 1")
     _check_policy(game, joint_policy)
-    return _policy_arrays(joint_policy)
+    arrays = _policy_arrays(joint_policy)
+    eye = np.eye(game.n_states)
+    return (arrays, *_evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol, max_iters))
 
 
-def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None):
+def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_iters=_MAX_BACKUPS):
     """The read-only soft Q of the product policy of ``tables``, with its
-    joint table and entropy bonus: the evaluation of every solver iterate.
+    joint table, its entropy bonus and the number of backups it took: the
+    evaluation of every solver iterate.
 
     The tables are not checked: the caller made them, or checked their
     policy once. ``entropies`` holds their entropy rows, and ``eye`` the
     identity of the game's state count, built once per solve. Exact,
-    under the bound of :func:`evaluate_policy_exact`, or, given
-    ``tol_eval``, iterative as :func:`evaluate_policy_iterative`.
+    under the bound of :func:`evaluate_policy_exact` and with no backup,
+    or, given ``tol_eval``, iterative as :func:`evaluate_policy_iterative`.
     """
     joint = _joint_table(tables)
     bonus = _entropy_bonus(entropies)
+    backups = 0
     if tol_eval is not None:
-        q = _iterated_q(game, joint, bonus, alpha, tol_eval)[0]
+        q, backups = _iterated_q(game, joint, bonus, alpha, tol_eval, max_iters)
     else:
         rbar, m = _policy_averages(game, joint)
         lhs = eye - game.gamma * m
@@ -351,22 +368,15 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None):
             )
         q = _backup(game, v)
     q.flags.writeable = False
-    return q, joint, bonus
+    return q, joint, bonus, backups
 
 
 def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
     return [agent.table for agent in joint_policy.agents]
 
 
-def _check_conditional(
-    game: CooperativeMarkovGame,
-    joint_policy: JointPolicy,
-    q: SoftQTable,
-    prefix: Sequence[int],
-) -> tuple[int, ...]:
-    """Validate the arguments of a conditional; returns the prefix as a tuple."""
-    _check_shapes(game, q)
-    _check_policy(game, joint_policy)
+def _check_prefix(game: CooperativeMarkovGame, prefix: Sequence[int]) -> tuple[int, ...]:
+    """An ordered subset of the game's agents, as a tuple of their ids."""
     prefix = tuple(int(i) for i in prefix)
     if len(set(prefix)) != len(prefix):
         raise ValueError(f"prefix {prefix} contains a duplicate agent")
@@ -519,7 +529,8 @@ def multiagent_soft_q(
     The expectation runs over the complement agents under the given
     policy; their entropy enters as a state-dependent constant.
     """
-    prefix = _check_conditional(game, joint_policy, q, prefix)
+    _check_evaluated(game, joint_policy, q, alpha)
+    prefix = _check_prefix(game, prefix)
     return MultiAgentSoftQ(
         alpha, prefix, _conditional_q(game, joint_policy, q.values, prefix, alpha)
     )
@@ -554,6 +565,5 @@ def maxent_return(
     alpha: float,
 ) -> float:
     """Entropy-regularized return J = sum_s d(s) V(s), V from the exact solve."""
-    tables, _logs, entropies = _start_arrays(game, joint_policy)
-    q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))
+    _arrays, q, joint, bonus, _backups = _start(game, joint_policy, alpha)
     return float(game.initial_dist @ _policy_value(joint, q, bonus, alpha))

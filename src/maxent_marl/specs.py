@@ -25,13 +25,13 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .common import SolveTrace
+from .common import SolveTrace, _check_argument
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -193,15 +193,24 @@ def load_game(path: str | Path) -> CooperativeMarkovGame:
     rejected by name: in a tensor by :func:`validate_game`, in gamma by the
     game itself, in a count by the parser.
     """
+    return _validated(_parse_file(path, parse_game))
+
+
+def _parse_file(path: str | Path, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of a JSON file's content; a parse error names the file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     try:
-        game = parse_game(data)
+        return parse(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _validated(game: CooperativeMarkovGame) -> CooperativeMarkovGame:
+    """The game, if :func:`validate_game` finds no violation."""
     violations = validate_game(game)
     if violations:
         raise GameValidationError(violations)
@@ -284,16 +293,15 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         raise ValueError(f"solver {solver!r} requires 'alpha' (or 'alphas')")
     if alpha is not None:
         alpha = _finite("alpha", alpha)
-        if alpha <= 0:
-            raise ValueError("alpha must be strictly positive")
+        _check_argument("temperature", alpha, "alpha")
     if alphas is not None:
         if not isinstance(alphas, (list, tuple)):
             raise ValueError(f"experiment field 'alphas' must be a list, got {alphas!r}")
         alphas = tuple(_finite(f"alphas[{k}]", a) for k, a in enumerate(alphas))
         if not alphas:
             raise ValueError("'alphas' must be a non-empty list")
-        if any(a <= 0 for a in alphas):
-            raise ValueError("every alpha in 'alphas' must be strictly positive")
+        for k, a in enumerate(alphas):
+            _check_argument("temperature", a, f"alphas[{k}]")
     return ExperimentSpec(
         solver=solver,
         game=data["game"],
@@ -402,23 +410,10 @@ def _named_option(
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    try:
-        spec = parse_experiment(data, base_dir=path.parent)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    spec = _parse_file(path, lambda data: parse_experiment(data, base_dir=path.parent))
     if spec.name == "experiment":
-        spec = _with_name(spec, path.stem)
+        spec = replace(spec, name=path.stem)
     return spec
-
-
-def _with_name(spec: ExperimentSpec, name: str) -> ExperimentSpec:
-    from dataclasses import replace
-
-    return replace(spec, name=name)
 
 
 def resolve_game(spec: ExperimentSpec) -> CooperativeMarkovGame:
@@ -428,11 +423,7 @@ def resolve_game(spec: ExperimentSpec) -> CooperativeMarkovGame:
         if not path.is_absolute() and spec.base_dir:
             path = Path(spec.base_dir) / path
         return load_game(path)
-    game = parse_game(spec.game)
-    violations = validate_game(game)
-    if violations:
-        raise GameValidationError(violations)
-    return game
+    return _validated(parse_game(spec.game))
 
 
 def initial_policy_for(game: CooperativeMarkovGame, description: Any) -> JointPolicy:

@@ -116,6 +116,18 @@ class TestBaselineStep:
         with pytest.raises(ValueError):
             BaselineOptions(algorithm="mappo", update_mode="mirror", step_size=0.0)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"step_size": float("nan")}, "finite positive step size: nan"),
+            ({"step_size": float("inf")}, "finite positive step size: inf"),
+            ({"iterations": 0}, "iteration caps must be at least 1, got iterations=0"),
+        ],
+    )
+    def test_options_rejected_by_name(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineOptions(algorithm="happo", **options)
+
 
 class TestBaselineRun:
     def test_mirror_converges_to_suboptimal_vertex(self, matrix_game, start_policy):

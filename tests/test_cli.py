@@ -583,6 +583,11 @@ class TestCliInterface:
             ({**HASPI_SPEC, "max_iters": True}, "'max_iters' must be an integer, got True"),
             ({**HASPI_SPEC, "seed": "3"}, "'seed' must be an integer, got '3'"),
             ({**HASPI_SPEC, "alpha": -(10**400)}, "'alpha' must be finite"),
+            ({**HASPI_SPEC, "eval": ""}, "unknown eval_method ''"),
+            ({**HASPI_SPEC, "eval": False}, "unknown eval_method False"),
+            ({**HASPI_SPEC, "solver": "mehaml", "mode": False}, "unknown update mode False"),
+            ({"solver": "happo", "game": MATRIX_GAME_JSON, "update_mode": 0},
+             "unknown update mode 0"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
@@ -592,6 +597,39 @@ class TestCliInterface:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not list(tmp_path.glob("*_summary.json"))
+
+    @pytest.mark.parametrize(
+        "spec, defaults",
+        [
+            (HASPI_SPEC, {"tol_policy": 1e-10, "tol_eval": 1e-12, "eval": "exact",
+                          "max_iters": 10_000, "permutation": "random"}),
+            ({**HASPI_SPEC, "solver": "mehaml"},
+             {"tol_policy": 1e-10, "tol_eval": 1e-12, "eval": "exact", "max_iters": 10_000,
+              "permutation": "random", "drift": {"name": "trivial"},
+              "neighborhood": {"name": "full"}, "mode": "closed_form"}),
+            ({"solver": "qre-oracle", "game": MATRIX_GAME_JSON, "alpha": 10.0},
+             {"damping": 0.5, "tol_policy": 1e-10, "max_iters": 10_000, "seed": 0,
+              "initial_policy": "uniform"}),
+            ({"solver": "happo", "game": MATRIX_GAME_JSON},
+             {"update_mode": "mirror", "step_size": 0.1, "iterations": 200, "seed": 0,
+              "initial_policy": "uniform"}),
+        ],
+        ids=["haspi", "mehaml", "qre-oracle", "happo"],
+    )
+    def test_written_defaults_change_no_byte(self, tmp_path, spec, defaults):
+        # The solvers hold the defaults: a spec that spells them out runs
+        # the solve that one omitting them runs.
+        outputs = []
+        written = {**spec, **defaults, "record_trace": True}
+        for name, payload in (("omitted", spec), ("written", written)):
+            payload = {**payload, "name": "run"}
+            out = tmp_path / name
+            assert main(["solve", write_json(tmp_path / f"{name}.json", payload),
+                         "--out", str(out), "--quiet"]) == EXIT_OK
+            summary = json.loads((out / "run_summary.json").read_text())
+            del summary["wall_clock_seconds"]
+            outputs.append(((out / "run_trace.csv").read_bytes(), summary))
+        assert outputs[0] == outputs[1]
 
     def test_integral_numbers_are_integers(self):
         spec = parse_experiment({**HASPI_SPEC, "max_iters": 3.0, "seed": 7})

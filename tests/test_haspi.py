@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from maxent_marl import (
     boltzmann_local_update,
     cyclic_order,
     evaluate_policy_exact,
+    evaluate_policy_iterative,
     fixed_order,
     full_neighborhood,
     haspi_solve,
@@ -41,7 +43,8 @@ from maxent_marl import (
     trivial_drift,
     uniform_joint_policy,
 )
-from maxent_marl import game_core, haspi, qre_oracle
+from maxent_marl import game_core, haspi, qre_oracle, soft_dp
+from maxent_marl.common import boltzmann_rows
 from maxent_marl.haspi import (
     _boltzmann_rule,
     _sequential_sweep,
@@ -699,6 +702,118 @@ class TestBoundaryChecks:
                 call()
 
 
+def temperature_calls():
+    """Every public entry point that takes a temperature, called with
+    (game, jp, q, alpha)."""
+    return {
+        "boltzmann_rows": lambda g, jp, q, a: boltzmann_rows(np.zeros((2, 3)), a),
+        "boltzmann_local_update": lambda g, jp, q, a: boltzmann_local_update(g, q, jp, [], 0, a),
+        "mehaml_local_update": lambda g, jp, q, a: mehaml_local_update(
+            g, q, jp, [], 0, a, kl_drift(1.0), full_neighborhood()
+        ),
+        "logit_response": lambda g, jp, q, a: logit_response(g, jp, 0, a),
+        "qre_residual": lambda g, jp, q, a: qre_residual(g, jp, a),
+        "qre_fixed_point": lambda g, jp, q, a: qre_fixed_point(g, a),
+        "evaluate_policy_exact": lambda g, jp, q, a: evaluate_policy_exact(g, jp, a),
+        "maxent_return": lambda g, jp, q, a: maxent_return(g, jp, a),
+        "evaluate_policy_iterative": lambda g, jp, q, a: evaluate_policy_iterative(g, jp, a),
+        "soft_value": lambda g, jp, q, a: soft_value(g, jp, q, a),
+        "multiagent_soft_q": lambda g, jp, q, a: multiagent_soft_q(g, jp, q, (0,), a),
+        "haspi_step": lambda g, jp, q, a: haspi_step(g, jp, a, Permutation((0, 1))),
+        "masac_step": lambda g, jp, q, a: masac_step(g, jp, a),
+    }
+
+
+# The entry points that need a positive temperature; the evaluations and
+# conditionals also take alpha = 0.
+POSITIVE_TEMPERATURE = [
+    "boltzmann_rows",
+    "boltzmann_local_update",
+    "mehaml_local_update",
+    "logit_response",
+    "qre_residual",
+    "qre_fixed_point",
+    "haspi_step",
+    "masac_step",
+]
+
+
+def counted_backups(monkeypatch):
+    """The soft Bellman backups made from here on: every evaluation,
+    exact or iterative, makes at least one."""
+    backups = []
+    backup = soft_dp._backup
+
+    def counted(game, v):
+        backups.append(v)
+        return backup(game, v)
+
+    monkeypatch.setattr(soft_dp, "_backup", counted)
+    return backups
+
+
+class TestArgumentChecks:
+    game = random_game(2, 2, 2, (2, 3), -1.0, 1.0, 0.5)
+    identity_game = new_matrix_game(np.eye(2))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("function", sorted(temperature_calls()))
+    def test_non_finite_temperature_named_before_any_evaluation(
+        self, monkeypatch, function, alpha
+    ):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        backups = counted_backups(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"temperature must be finite.* got alpha="):
+                temperature_calls()[function](self.game, jp, q, alpha)
+        assert backups == []
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("function", POSITIVE_TEMPERATURE)
+    def test_solver_temperature_must_be_positive(self, monkeypatch, function, alpha):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        backups = counted_backups(monkeypatch)
+        with pytest.raises(ValueError, match="temperature must be finite and strictly positive"):
+            temperature_calls()[function](self.game, jp, q, alpha)
+        assert backups == []
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g, jp: qre_fixed_point(g, 1.0, tol=math.nan),
+             "tolerances must be finite and positive, got tol=nan"),
+            (lambda g, jp: qre_fixed_point(g, 1.0, max_iters=0),
+             "iteration caps must be at least 1, got max_iters=0"),
+            (lambda g, jp: evaluate_policy_iterative(g, jp, 1.0, tol=math.nan),
+             "tolerances must be finite and positive, got tol=nan"),
+            (lambda g, jp: evaluate_policy_iterative(g, jp, 1.0, max_iters=0),
+             "iteration caps must be at least 1, got max_iters=0"),
+            (lambda g, jp: haspi_step(g, jp, 1.0, Permutation((0, 1)), tol_eval=math.nan),
+             "tolerances must be finite and positive"),
+            (lambda g, jp: masac_step(g, jp, 1.0, tol_eval=0.0),
+             "tolerances must be finite and positive"),
+        ],
+        ids=[
+            "qre_fixed_point-tol",
+            "qre_fixed_point-max_iters",
+            "evaluate_policy_iterative-tol",
+            "evaluate_policy_iterative-max_iters",
+            "haspi_step-tol_eval",
+            "masac_step-tol_eval",
+        ],
+    )
+    def test_tolerance_and_cap_named_before_any_evaluation(self, monkeypatch, call, message):
+        # At alpha = 1 the oracle converges on this game at its first
+        # iteration, so a NaN tolerance that passed would show as a cycle.
+        backups = counted_backups(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            call(self.identity_game, uniform_joint_policy(self.identity_game))
+        assert backups == []
+
+
 def core_calls(monkeypatch, solve):
     """``solve()``'s result, the tables it passes to ``_log_and_entropy``
     (kept alive, so their ids stay distinct), and how many AgentPolicy and
@@ -799,7 +914,9 @@ def test_the_evaluation_kernel_is_the_public_evaluation_bit_for_bit():
     for game, k, alpha in games + [PAIRWISE_GAME]:
         jp = random_start(game, k)
         tables, _logs, entropies = _policy_arrays(jp)
-        q, joint, bonus = _evaluate_tables(game, tables, entropies, alpha, np.eye(game.n_states))
+        q, joint, bonus, _backups = _evaluate_tables(
+            game, tables, entropies, alpha, np.eye(game.n_states)
+        )
         assert not q.flags.writeable
         assert q.tobytes() == evaluate_policy_exact(game, jp, alpha).values.tobytes()
         assert joint.tobytes() == joint_action_table(jp).tobytes()
