@@ -144,7 +144,13 @@ def run_experiment(
     Deterministic per (spec, seed) apart from the wall-clock field in the
     summary. Results land in ``out_dir`` (or the spec's ``out``, the
     MAXENT_MARL_OUT environment variable, or the working directory).
+    A spec that gives the soft solvers ``alphas`` but no ``alpha`` is
+    rejected: the list is read by :func:`sweep_alpha`.
     """
+    if spec.alpha is None and spec.alphas is not None:
+        raise ValueError(
+            f"one run of solver {spec.solver!r} needs 'alpha'; 'alphas' is read by sweep-alpha"
+        )
     return _run_on_game(spec, resolve_game(spec), out_dir, write)[0]
 
 

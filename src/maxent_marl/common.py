@@ -56,9 +56,10 @@ def _boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:
     """:func:`boltzmann_rows` at a temperature the caller has checked: the
     solvers check theirs once per solve, not once per table of rows."""
     z = coefficients / alpha
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _logit_responses(
@@ -71,8 +72,15 @@ def _logit_responses(
     has one entry per batch member, with the bits of an unbatched call.
     """
     responses = [_boltzmann_rows(coef, alpha) for coef in coefficients]
-    gaps = [np.abs(r - t).max(axis=(-2, -1)) for r, t in zip(responses, tables)]
+    gaps = [_sup_norm(r - t, axis=(-2, -1)) for r, t in zip(responses, tables)]
     return responses, functools.reduce(np.maximum, gaps)
+
+
+def _sup_norm(difference: np.ndarray, axis=None) -> np.ndarray:
+    """max |difference| over ``axis``, all axes by default; overwrites the
+    difference, which the caller made for it. NaN if any entry is NaN."""
+    np.abs(difference, out=difference)
+    return np.maximum.reduce(difference, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .common import _sup_norm
+
 __all__ = [
     "CooperativeMarkovGame",
     "AgentPolicy",
@@ -397,15 +399,16 @@ def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The entropy -sum_a p(a) log p(a) runs over the last axis, with
     0 log 0 = 0; no warning. The one entropy formula of the package.
     """
-    positive = table > 0.0
-    if positive.all():
+    # NaN fails the test too; an empty table takes the first branch.
+    if np.minimum.reduce(table, axis=None, initial=np.inf) > 0.0:
         log = np.log(table)
         terms = table * log
     else:
+        positive = table > 0.0
         log = np.log(table, out=np.full(table.shape, -np.inf), where=positive)
         # 0 * log 0 = 0: entries that are not positive add a zero term.
         terms = np.multiply(table, log, out=np.zeros(table.shape), where=positive)
-    return log, -terms.sum(axis=-1)
+    return log, -np.add.reduce(terms, axis=-1)
 
 
 def _table_logs(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,8 +457,8 @@ def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
 
 def _entropy_bonus(entropies: Sequence[np.ndarray]) -> np.ndarray:
     """The sum of agents' entropy rows, in agent order, from zero."""
-    total = np.zeros(entropies[0].shape)
-    for rows in entropies:
+    total = 0.0 + entropies[0]
+    for rows in entropies[1:]:
         total += rows
     return total
 
@@ -468,7 +471,7 @@ def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * (np.log(p) - log_q), 0.0)
-    return terms.sum(axis=-1)
+    return np.add.reduce(terms, axis=-1)
 
 
 def joint_action_prob(
@@ -510,4 +513,4 @@ def sup_policy_distance(a: JointPolicy, b: JointPolicy) -> float:
 
 def _sup_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     """:func:`sup_policy_distance` of two lists of tables."""
-    return max(float(np.abs(ta - tb).max()) for ta, tb in zip(a, b))
+    return max(float(_sup_norm(ta - tb)) for ta, tb in zip(a, b))

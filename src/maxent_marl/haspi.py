@@ -205,7 +205,7 @@ RowRule = Callable[[Arrays, Arrays, tuple[int, ...], np.ndarray, float], np.ndar
 
 def _boltzmann_rule(old, new, prefix, coefficients, alpha):
     rows = _boltzmann_rows(coefficients, alpha)
-    if not np.isfinite(rows).all():  # unreachable with finite Q
+    if not np.logical_and.reduce(np.isfinite(rows), axis=None):  # unreachable with finite Q
         raise RuntimeError("Boltzmann update produced a non-finite row")
     return rows
 

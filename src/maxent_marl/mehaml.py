@@ -344,7 +344,7 @@ def _mirror_rule(
             target = _kl_regularized_rows(coef, old[1][agent], alpha, drift.beta)
         else:
             target = _boltzmann_rows(coef, alpha)
-        if not np.isfinite(target).all():  # unreachable with finite Q
+        if not np.logical_and.reduce(np.isfinite(target), axis=None):  # unreachable with finite Q
             raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
             return target

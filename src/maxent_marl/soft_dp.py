@@ -27,8 +27,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .common import _check_argument
+from .common import _check_argument, _sup_norm
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -205,8 +206,30 @@ def _policy_averages(
 
 
 def _backup(game: CooperativeMarkovGame, v: np.ndarray) -> np.ndarray:
-    """r(s, a) + gamma * E_{s'~P}[V(s')]."""
-    return game.reward + game.gamma * (game.transition @ v)
+    """r(s, a) + gamma * E_{s'~P}[V(s')], built in the array P v makes."""
+    q = game.transition @ v
+    q *= game.gamma
+    q += game.reward
+    return q
+
+
+def _singular(_error: str, _flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """v with lhs v = rhs: LAPACK's gesv through the gufunc that
+    ``np.linalg.solve`` calls for a vector right-hand side, with its bits,
+    without the wrapper's conversions and checks (the evaluation makes
+    float64 square systems).
+
+    The gufunc flags a singular matrix as an invalid floating-point
+    operation; the error state turns that into ``LinAlgError``, as
+    ``np.linalg.solve`` does. A fresh ``np.errstate`` per call: numpy
+    refuses to enter one instance twice.
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(lhs, rhs, signature="dd->d")
 
 
 def soft_value(
@@ -274,7 +297,7 @@ def _iterated_q(game, joint, bonus, alpha, tol, max_iters) -> tuple[np.ndarray, 
     residual = np.inf
     for k in range(1, max_iters + 1):
         q_next = backup(q)
-        residual = float(np.abs(q_next - q).max())
+        residual = float(_sup_norm(q_next - q))
         q = q_next
         if residual < threshold:
             return q, k
@@ -356,11 +379,15 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
         lhs = eye - game.gamma * m
         rhs = rbar + alpha * bonus
         try:
-            v = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:  # unreachable for gamma < 1
+            v = _solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            # Reachable for gamma < 1 with a kernel that is not stochastic,
+            # such as rows summing to 1 / gamma: validate_game rejects it,
+            # the solvers take the game as given.
             raise RuntimeError(f"evaluation system is singular: {exc}") from exc
-        system_residual = float(np.abs(lhs @ v - rhs).max())
-        bound = game.gamma * game.transition_norm * system_residual
+        error = lhs @ v
+        error -= rhs
+        bound = game.gamma * game.transition_norm * float(_sup_norm(error))
         # Written so that a NaN bound fails the test too.
         if not bound <= _EXACT_RESIDUAL_TOL:
             raise RuntimeError(

@@ -302,14 +302,20 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
             raise ValueError("'alphas' must be a non-empty list")
         for k, a in enumerate(alphas):
             _check_argument("temperature", a, f"alphas[{k}]")
+    # The fields whose defaults are not None are passed only when given:
+    # ExperimentSpec holds their defaults.
+    defaulted = {
+        "name": lambda v: _typed("name", v, str, "a string"),
+        "seed": lambda v: _integer("seed", v, "experiment"),
+        "initial_policy": lambda v: v,
+        "record_trace": lambda v: _typed("record_trace", v, bool, "true or false"),
+    }
+    given = {key: parse(data[key]) for key, parse in defaulted.items() if key in data}
     return ExperimentSpec(
         solver=solver,
         game=data["game"],
-        name=_typed("name", data.get("name", "experiment"), str, "a string"),
         alpha=alpha,
         alphas=alphas,
-        seed=_integer("seed", data.get("seed", 0), "experiment"),
-        initial_policy=data.get("initial_policy", "uniform"),
         tol_policy=_opt_float(data, "tol_policy"),
         tol_eval=_opt_float(data, "tol_eval"),
         eval_method=data.get("eval"),
@@ -323,8 +329,8 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
         step_size=_opt_float(data, "step_size"),
         iterations=_opt_integer(data, "iterations"),
         out=_typed("out", data.get("out"), (str, type(None)), "a string or null"),
-        record_trace=_typed("record_trace", data.get("record_trace", True), bool, "true or false"),
         base_dir=None if base_dir is None else str(base_dir),
+        **given,
     )
 
 
@@ -411,7 +417,7 @@ def _named_option(
 def load_experiment(path: str | Path) -> ExperimentSpec:
     path = Path(path)
     spec = _parse_file(path, lambda data: parse_experiment(data, base_dir=path.parent))
-    if spec.name == "experiment":
+    if spec.name == ExperimentSpec.name:  # the default name: take the file's
         spec = replace(spec, name=path.stem)
     return spec
 

@@ -197,6 +197,17 @@ class TestExperimentSpecs:
         path = write_json(tmp_path / "myrun.json", HASPI_SPEC)
         assert load_experiment(path).name == "myrun"
 
+    def test_written_defaults_parse_to_the_omitted_spec(self):
+        spec = {"solver": "haspi", "game": MATRIX_GAME_JSON, "alpha": 1.0}
+        written = {**spec, "name": "experiment", "seed": 0, "initial_policy": "uniform",
+                   "record_trace": True, "out": None}
+        assert parse_experiment(written) == parse_experiment(spec)
+        # An explicit null is not a default: it is kept, or rejected by name.
+        assert parse_experiment({**spec, "initial_policy": None}).initial_policy is None
+        for key in ("name", "seed", "record_trace"):
+            with pytest.raises(ValueError, match=f"'{key}' must be"):
+                parse_experiment({**spec, key: None})
+
 
 class TestRunExperiment:
     def test_haspi_summary_values(self, tmp_path):
@@ -588,6 +599,10 @@ class TestCliInterface:
             ({**HASPI_SPEC, "solver": "mehaml", "mode": False}, "unknown update mode False"),
             ({"solver": "happo", "game": MATRIX_GAME_JSON, "update_mode": 0},
              "unknown update mode 0"),
+            ({**HASPI_SPEC, "alpha": None, "alphas": [1.0, 2.0]},
+             "one run of solver 'haspi' needs 'alpha'; 'alphas' is read by sweep-alpha"),
+            ({"solver": "qre-oracle", "game": MATRIX_GAME_JSON, "alphas": [1.0]},
+             "one run of solver 'qre-oracle' needs 'alpha'"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):

@@ -205,7 +205,7 @@ def cli_inputs(draw):
         texts["spec.json"] = spec
     target = draw(st.sampled_from(sorted(texts)))
     data = json.loads(json.dumps(texts[target]))
-    mutations = ("wrong type", "unknown key", "non-finite", "missing", "truncated")
+    mutations = ("wrong type", "unknown key", "non-finite", "missing", "truncated", "alphas")
     mutation = draw(st.sampled_from(mutations))
     key = draw(st.sampled_from(sorted(data)))
     if mutation == "wrong type":
@@ -220,6 +220,9 @@ def cli_inputs(draw):
         data[key] = draw(st.sampled_from(NON_FINITE))
     elif mutation == "missing":
         del data[key]
+    elif mutation == "alphas" and "alpha" in data:
+        # Drop alpha, keep alphas: a list that only sweep-alpha reads.
+        data["alphas"] = [data.pop("alpha"), 2.0]
     texts = {name: json.dumps(value) for name, value in texts.items()}
     texts[target] = json.dumps(data)
     if mutation == "truncated":

@@ -422,8 +422,8 @@ class TestExactEvaluationCheck:
         bound = game.gamma * norm * np.abs(lhs @ (v + dv) - rhs).max()
         assert bound >= residual - 1e-12
         # Whatever the check accepts, the old check would have accepted.
-        solve = np.linalg.solve
-        with mock.patch.object(soft_dp.np.linalg, "solve", lambda a, b: solve(a, b) + dv):
+        solve = soft_dp._solve
+        with mock.patch.object(soft_dp, "_solve", lambda a, b: solve(a, b) + dv):
             try:
                 evaluate_policy_exact(game, jp, alpha)
             except RuntimeError:
@@ -441,8 +441,8 @@ class TestExactEvaluationCheck:
         assert doubled.transition_norm == pytest.approx(2.0, abs=1e-12)
         _, _, v = exact_values(doubled, jp, 1.0)
         assert backup_residual(doubled, jp, v + 1e-8, 1.0) == pytest.approx(1.6e-9, rel=1e-3)
-        solve = np.linalg.solve
-        monkeypatch.setattr(soft_dp.np.linalg, "solve", lambda a, b: solve(a, b) + 1e-8)
+        solve = soft_dp._solve
+        monkeypatch.setattr(soft_dp, "_solve", lambda a, b: solve(a, b) + 1e-8)
         with pytest.raises(RuntimeError, match="exact evaluation residual 1.6"):
             evaluate_policy_exact(doubled, jp, 1.0)
 
@@ -450,12 +450,12 @@ class TestExactEvaluationCheck:
         game = suite_game(5, 3, 4, (2, 3, 4), 0.9)
         jp = random_start(game, 5)
         evaluate_policy_exact(game, jp, 1.0)
-        solve = np.linalg.solve
+        solve = soft_dp._solve
 
         def perturbed(a, b):
             return solve(a, b) + 1e-6
 
-        monkeypatch.setattr(soft_dp.np.linalg, "solve", perturbed)
+        monkeypatch.setattr(soft_dp, "_solve", perturbed)
         with pytest.raises(RuntimeError, match=r"exact evaluation residual .* exceeds 1e-09"):
             evaluate_policy_exact(game, jp, 1.0)
 
@@ -471,6 +471,24 @@ class TestExactEvaluationCheck:
         jp = joint_policy_from_rows([np.array([[1.0, 0.0], [1.0, 0.0]])] * 2)
         with pytest.raises(RuntimeError, match="residual nan"):
             evaluate_policy_exact(broken, jp, 1.0)
+
+    def test_singular_system_is_named_without_a_warning(self):
+        # Rows summing to 2 = 1 / gamma make I - gamma M zero: gamma < 1
+        # alone does not keep the system regular for a kernel that is not
+        # stochastic.
+        game = CooperativeMarkovGame(
+            2, 1, (2, 2), np.zeros((1, 4)), np.full((1, 4, 1), 2.0), 0.5, np.ones(1)
+        )
+        jp = uniform_joint_policy(game)
+        error_state = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(
+                    RuntimeError, match="^evaluation system is singular: Singular matrix$"
+                ):
+                    evaluate_policy_exact(game, jp, 1.0)
+        assert np.geterr() == error_state
 
 
 def average_shapes():
