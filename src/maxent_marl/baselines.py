@@ -143,7 +143,7 @@ def baseline_step(
         agents = tuple(updated_row(i, ()) for i in range(game.n_agents))
         return JointPolicy(agents)
 
-    order = options.permutation or tuple(range(game.n_agents))
+    order = tuple(range(game.n_agents)) if options.permutation is None else options.permutation
     if sorted(order) != list(range(game.n_agents)):
         raise ValueError(f"{order} is not a permutation of the agents")
     agents = list(joint_policy.agents)

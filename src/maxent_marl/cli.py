@@ -68,6 +68,7 @@ from .specs import (
     write_summary_json,
     write_trace_csv,
     atomic_write_text,
+    _seed,
 )
 
 __all__ = [
@@ -376,7 +377,8 @@ def sweep_alpha(
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    updates = _given(seed=args.seed, tol_policy=args.tol, max_iters=args.max_iters)
+    seed = None if args.seed is None else _seed(args.seed)
+    updates = _given(seed=seed, tol_policy=args.tol, max_iters=args.max_iters)
     return dc_replace(spec, **updates)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,10 @@ _ARGUMENT_RULES = {
     ),
     "evaluation temperature": (lambda x: -math.inf < x < math.inf, "temperature must be finite"),
     "tolerance": (lambda x: 0 < x < math.inf, "tolerances must be finite and positive"),
-    "iteration cap": (lambda x: x >= 1, "iteration caps must be at least 1"),
+    "iteration cap": (
+        lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1,
+        "an iteration cap must be an integer, and iteration caps must be at least 1",
+    ),
 }
 
 

@@ -43,6 +43,7 @@ from .game_core import (
 )
 from .soft_dp import (
     SoftQTable,
+    _agent_coefficients,
     _check_evaluated,
     _check_prefix,
     _conditional_q,
@@ -363,7 +364,7 @@ def _policy_iteration_loop(
         if (len(contracted) + 1) * batch > _RESIDUAL_BATCH:
             records.extend(_with_residuals(contracted, game.n_agents, alpha))
             contracted.clear()
-        return [c[-1] for c in coefficients]
+        return [c[-game.n_states:] for c in coefficients]
 
     def snapshot(k, order, change) -> Optional[list[np.ndarray]]:
         if not options.record_trace:
@@ -400,28 +401,25 @@ def _policy_iteration_loop(
     return _joint_policy(*arrays), SoftQTable(alpha, q), trace
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated on their first axis; a single one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _record_contractions(
     game: CooperativeMarkovGame, pending: list[tuple[tuple, np.ndarray]]
 ) -> tuple[list[tuple], list[np.ndarray], list[np.ndarray]]:
     """The pending records' fields, and per agent their policy tables and
-    one-agent contractions, stacked on a leading axis.
+    one-agent contractions, the records' states laid end to end.
 
-    One batched :func:`_contract` per agent serves every record, each with
-    the bits of its own unbatched call, on which the sweeps' ``reuse``
-    relies. A single record is contracted unstacked. A record's fields end
-    with its policy tables.
+    One :func:`_contract` per agent serves every record, each with the
+    bits of its own call, on which the sweeps' ``reuse`` relies. A
+    record's fields end with its policy tables.
     """
-    n_agents = game.n_agents
     fields = [f for f, _ in pending]
-    if len(pending) == 1:
-        policies, q_values = fields[0][-1], pending[0][1]
-        tables = [t[None] for t in policies]
-        coefficients = [_contract(game, policies, q_values, (i,))[None] for i in range(n_agents)]
-    else:
-        tables = [np.stack([f[-1][i] for f in fields]) for i in range(n_agents)]
-        q_values = np.stack([q for _, q in pending])
-        coefficients = [_contract(game, tables, q_values, (i,)) for i in range(n_agents)]
-    return fields, tables, coefficients
+    tables = [_joined([f[-1][i] for f in fields]) for i in range(game.n_agents)]
+    q_values = _joined([q for _, q in pending])
+    return fields, tables, _agent_coefficients(game, tables, q_values)
 
 
 def _with_residuals(
@@ -433,13 +431,14 @@ def _with_residuals(
     softmax per agent over all of them."""
     if not contracted:
         return []
-
-    def joined(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
     fields = [f for chunk, _, _ in contracted for f in chunk]
-    tables = [joined([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
-    coefficients = [joined([c[i] for _, _, c in contracted]) for i in range(n_agents)]
+
+    def stacked(arrays):
+        rows = _joined(arrays)
+        return rows.reshape(len(fields), -1, rows.shape[-1])
+
+    tables = [stacked([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
+    coefficients = [stacked([c[i] for _, _, c in contracted]) for i in range(n_agents)]
     residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
     return [
         IterationRecord(k, order, change, ret, values, residual, policies)

@@ -243,7 +243,8 @@ class StateWeighting:
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if weights.ndim != 1:
             raise ValueError("state weighting must be a vector")
-        if abs(weights.sum() - 1.0) > 1e-12 or (weights < 0).any():
+        finite = np.isfinite(weights).all()
+        if not (finite and (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("state weighting must be a probability vector")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)

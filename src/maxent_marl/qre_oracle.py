@@ -240,28 +240,18 @@ def enumerate_pure_nash(game: CooperativeMarkovGame) -> set[tuple[int, ...]]:
     """All pure Nash joint actions of a single-state game (standard reward).
 
     A joint action is a pure NE when no agent can strictly increase the
-    shared reward by switching its own action.
+    shared reward by switching its own action: its reward is the largest
+    along every agent's axis. A reward entry that is not finite is named
+    and rejected.
     """
     if game.n_states != 1:
         raise ValueError("pure Nash enumeration is defined for single-state games")
     reward = game.reward[0].reshape(game.action_counts)
-    equilibria: set[tuple[int, ...]] = set()
-    for joint in np.ndindex(*game.action_counts):
-        value = reward[joint]
-        beaten = False
-        for i, count in enumerate(game.action_counts):
-            for b in range(count):
-                if b == joint[i]:
-                    continue
-                alt = joint[:i] + (b,) + joint[i + 1 :]
-                if reward[alt] > value:
-                    beaten = True
-                    break
-            if beaten:
-                break
-        if not beaten:
-            equilibria.add(tuple(int(x) for x in joint))
-    return equilibria
+    if not np.isfinite(reward).all():
+        joint = tuple(map(int, np.argwhere(~np.isfinite(reward))[0]))
+        raise ValueError(f"reward entry {joint} is not finite")
+    best = [reward == reward.max(axis=i, keepdims=True) for i in range(reward.ndim)]
+    return {tuple(map(int, joint)) for joint in np.argwhere(np.logical_and.reduce(best))}
 
 
 def joint_kl_objective(

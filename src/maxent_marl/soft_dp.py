@@ -451,30 +451,6 @@ def _conditional_plan(
     return tuple(steps), complement
 
 
-# The leading batch axis of a stacked contraction (see _batched_plan): not an
-# axis letter, and not the state letter.
-_BATCH_LETTER = "z"
-
-
-@lru_cache(maxsize=4096)
-def _batched_plan(
-    action_counts: tuple[int, ...], prefix: tuple[int, ...]
-) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], tuple[int, ...]]:
-    """:func:`_conditional_plan` with a leading batch axis on every operand.
-
-    ``"sabc,sb,sc->sa"`` becomes ``"zsabc,zsb,zsc->zsa"``. The batch axis
-    has its own letter: an ellipsis in the shared subscripts would let one
-    plan serve both forms, but it cost about 1 us on each unbatched call.
-    """
-    steps, complement = _conditional_plan(action_counts, prefix)
-    batched = []
-    for subscripts, agents in steps:
-        inputs, output = subscripts.split("->")
-        terms = ",".join(_BATCH_LETTER + term for term in inputs.split(","))
-        batched.append((f"{terms}->{_BATCH_LETTER}{output}", agents))
-    return tuple(batched), complement
-
-
 def _contract(
     game: CooperativeMarkovGame,
     tables: Sequence[np.ndarray],
@@ -484,15 +460,15 @@ def _contract(
     """E_{a^rest ~ pi}[Q(s, a)] over the agents outside a checked prefix:
     the conditional of :func:`multiagent_soft_q` without their entropy.
 
-    ``tables`` holds every agent's policy table. A 3-d ``q_values`` and
-    3-d tables carry one leading batch axis, such as the iterates of a
-    solve stacked on axis 0; the result then has it too. Each member has
-    the bits of an unbatched call on it: ``np.einsum`` does not promise
-    that, so the tests check it on every suite shape.
+    ``tables`` holds every agent's policy table, shape (rows, actions),
+    and ``q_values`` has shape (rows, joint actions). The rows are states,
+    and the state axis is the only batch axis: the iterates of a solve
+    laid end to end on it, Q and tables alike, contract in one call, each
+    with the bits of its own call. ``np.einsum`` does not promise that,
+    so the tests check it on every suite shape and a pairwise one.
     """
-    plan = _batched_plan if q_values.ndim == 3 else _conditional_plan
-    steps, _complement = plan(game.action_counts, prefix)
-    values = q_values.reshape(*q_values.shape[:-1], *game.action_counts)
+    steps, _complement = _conditional_plan(game.action_counts, prefix)
+    values = q_values.reshape(-1, *game.action_counts)
     for subscripts, agents in steps:
         values = np.einsum(subscripts, values, *(tables[i] for i in agents))
     return values

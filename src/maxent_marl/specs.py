@@ -306,7 +306,7 @@ def parse_experiment(data: dict[str, Any], base_dir: str | Path | None = None) -
     # ExperimentSpec holds their defaults.
     defaulted = {
         "name": lambda v: _typed("name", v, str, "a string"),
-        "seed": lambda v: _integer("seed", v, "experiment"),
+        "seed": _seed,
         "initial_policy": lambda v: v,
         "record_trace": lambda v: _typed("record_trace", v, bool, "true or false"),
     }
@@ -359,6 +359,15 @@ def _finite(key: str, value: Any) -> float:
     if not math.isfinite(number):
         raise ValueError(f"experiment field {key!r} must be finite, got {value!r}")
     return number
+
+
+def _seed(value: Any) -> int:
+    """The experiment seed: an integer, and non-negative, as numpy's seeding
+    requires."""
+    seed = _integer("seed", value, "experiment")
+    if seed < 0:
+        raise ValueError(f"experiment field 'seed' must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _opt_float(data: dict[str, Any], key: str) -> Optional[float]:

@@ -593,6 +593,7 @@ class TestCliInterface:
             ({**HASPI_SPEC, "max_iters": 2.5}, "'max_iters' must be an integer, got 2.5"),
             ({**HASPI_SPEC, "max_iters": True}, "'max_iters' must be an integer, got True"),
             ({**HASPI_SPEC, "seed": "3"}, "'seed' must be an integer, got '3'"),
+            ({**HASPI_SPEC, "seed": -1}, "'seed' must be a non-negative integer, got -1"),
             ({**HASPI_SPEC, "alpha": -(10**400)}, "'alpha' must be finite"),
             ({**HASPI_SPEC, "eval": ""}, "unknown eval_method ''"),
             ({**HASPI_SPEC, "eval": False}, "unknown eval_method False"),
@@ -720,6 +721,25 @@ class TestCliInterface:
         ) == EXIT_OK
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["seed"] == 9
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-alpha"])
+    def test_negative_seed_override_named(self, tmp_path, capsys, command):
+        spec = HASPI_SPEC
+        if command == "sweep-alpha":
+            spec = {**HASPI_SPEC, "alpha": None, "alphas": [1.0]}
+        spec_path = write_json(tmp_path / "run.json", spec)
+        argv = [command, spec_path, "--seed", "-1", "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == EXIT_INVALID
+        assert "'seed' must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_empty_happo_permutation_rejected(self, tmp_path, capsys):
+        spec_path = write_json(
+            tmp_path / "run.json",
+            {"solver": "happo", "game": MATRIX_GAME_JSON, "permutation": [], "name": "h"},
+        )
+        assert main(["baseline", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: () is not a permutation of the agents\n"
+        assert not list(tmp_path.glob("h_*"))
 
     def test_qre_guard(self, tmp_path, capsys):
         spec_path = write_json(tmp_path / "run.json", HASPI_SPEC)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from maxent_marl import (
     AgentPolicy,
+    BaselineOptions,
     HaspiOptions,
     JointPolicy,
     Permutation,
@@ -532,13 +534,20 @@ def test_a_trace_adds_one_contraction_per_agent_per_flush(k, solver, monkeypatch
     assert n_agents * records - (records - 1) > n_agents * flushes
 
 
+# The 4 x 4 x 10 shape of perfbench's large-joint workload: its pairwise chain
+# and a flush of 12 records under the byte cap.
+LARGE_JOINT_GAME = (random_game(7004, 4, 10, (4, 4, 4, 4), -1.0, 1.0, 0.9), 7004, 1.0)
+
+
 def batch_cases():
-    """Each suite shape and the pairwise game, with 6 stacked (tables, Q) iterates."""
+    """Each suite shape and the pairwise game with 6 (tables, Q) iterates, and
+    the large-joint shape with as many as one flush stacks there."""
     games = [(suite_game(k, n, s, c, g), k, a) for k, n, s, c, g, a in suite_params(100)]
-    for game, k, alpha in games + [PAIRWISE_GAME]:
+    for game, k, alpha in games + [PAIRWISE_GAME, LARGE_JOINT_GAME]:
         rng = np.random.default_rng(k)
+        members = 12 if k == LARGE_JOINT_GAME[1] else 6
         iterates = []
-        for _ in range(6):
+        for _ in range(members):
             jp = joint_policy_from_rows(
                 [rng.dirichlet(np.ones(c), size=game.n_states) for c in game.action_counts]
             )
@@ -547,18 +556,23 @@ def batch_cases():
 
 
 def test_batched_contraction_is_the_per_iterate_one_bit_for_bit():
+    """Iterates laid end to end on the state axis, as a flush lays its
+    records, contract to the bits of each iterate's own call."""
+    large = LARGE_JOINT_GAME[0]
+    assert haspi._PENDING_Q_BYTES // (large.n_states * large.n_joint_actions * 8) == 12
     cases = 0
     for game, iterates in batch_cases():
-        tables = [np.stack([jp.agents[i].table for jp, _ in iterates]) for i in range(game.n_agents)]
-        q_values = np.stack([q for _, q in iterates])
+        n = game.n_states
+        tables = [np.concatenate(t) for t in zip(*(_tables(jp) for jp, _ in iterates))]
+        q_values = np.concatenate([q for _, q in iterates])
         singles = [_agent_coefficients(game, _tables(jp), q) for jp, q in iterates]
         for i in range(game.n_agents):
-            batched = _contract(game, tables, q_values, (i,))
-            assert batched.shape == (len(iterates),) + singles[0][i].shape
+            joined = _contract(game, tables, q_values, (i,))
+            assert joined.shape == (len(iterates) * n, game.action_counts[i])
             for b, single in enumerate(singles):
-                assert batched[b].tobytes() == single[i].tobytes()
+                assert joined[b * n : (b + 1) * n].tobytes() == single[i].tobytes()
                 cases += 1
-    assert cases == 6 * (sum(p[1] for p in suite_params(100)) + 4)
+    assert cases == 6 * (sum(p[1] for p in suite_params(100)) + 4) + 12 * 4
 
 
 class TestSolverBuiltPolicies:
@@ -810,6 +824,29 @@ class TestArgumentChecks:
         # iteration, so a NaN tolerance that passed would show as a cycle.
         backups = counted_backups(monkeypatch)
         with pytest.raises(ValueError, match=message):
+            call(self.identity_game, uniform_joint_policy(self.identity_game))
+        assert backups == []
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "entry", ["HaspiOptions", "qre_fixed_point", "evaluate_policy_iterative", "BaselineOptions"]
+    )
+    def test_iteration_caps_must_be_integers(self, monkeypatch, entry, cap):
+        name, call = {
+            "HaspiOptions": (
+                "max_outer_iters", lambda g, jp: HaspiOptions(1.0, max_outer_iters=cap)
+            ),
+            "qre_fixed_point": ("max_iters", lambda g, jp: qre_fixed_point(g, 1.0, max_iters=cap)),
+            "evaluate_policy_iterative": (
+                "max_iters", lambda g, jp: evaluate_policy_iterative(g, jp, 1.0, max_iters=cap)
+            ),
+            "BaselineOptions": (
+                "iterations", lambda g, jp: BaselineOptions("happo", iterations=cap)
+            ),
+        }[entry]
+        message = f"must be an integer, and iteration caps must be at least 1, got {name}={cap}"
+        backups = counted_backups(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)):
             call(self.identity_game, uniform_joint_policy(self.identity_game))
         assert backups == []
 

@@ -389,6 +389,13 @@ class TestMehamlSolve:
         w = uniform_state_weighting(4)
         assert np.allclose(w.weights, 0.25)
 
+    @pytest.mark.parametrize(
+        "weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, -math.inf], [math.inf, 0.0]]
+    )
+    def test_state_weighting_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="probability vector"):
+            StateWeighting(np.array(weights))
+
 
 class TestHadfPropertyCheck:
     def _samples(self, game, n=4):

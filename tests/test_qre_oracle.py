@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maxent_marl import (
+    CooperativeMarkovGame,
     HaspiOptions,
     Permutation,
     enumerate_pure_nash,
@@ -199,6 +200,32 @@ class TestEnumeratePureNash:
     def test_two_by_two(self):
         game = new_matrix_game(np.array([[1.0, 0.0], [0.0, 2.0]]))
         assert enumerate_pure_nash(game) == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward_named(self, bad):
+        reward = np.array([[1.0, bad, 0.0, 2.0]])
+        game = CooperativeMarkovGame(2, 1, (2, 2), reward, np.ones((1, 4, 1)), 0.9, np.ones(1))
+        with pytest.raises(ValueError, match=r"reward entry \(0, 1\) is not finite"):
+            enumerate_pure_nash(game)
+
+    def test_every_agent_axis_is_checked(self):
+        # Against the definition, on three-agent games with ties.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            reward = rng.integers(0, 3, size=(2, 3, 2)).astype(float)
+            game = CooperativeMarkovGame(
+                3, 1, (2, 3, 2), reward.reshape(1, -1), np.ones((1, 12, 1)), 0.9, np.ones(1)
+            )
+            expected = {
+                joint
+                for joint in np.ndindex(2, 3, 2)
+                if not any(
+                    reward[joint[:i] + (b,) + joint[i + 1 :]] > reward[joint]
+                    for i in range(3)
+                    for b in range(reward.shape[i])
+                )
+            }
+            assert enumerate_pure_nash(game) == expected
 
     def test_multi_state_rejected(self):
         game = random_game(0, 2, 2, [2, 2], -1, 1, 0.5)

@@ -33,9 +33,7 @@ from maxent_marl import soft_dp
 from maxent_marl.haspi import expected_conditional_q
 from maxent_marl.soft_dp import (
     _AXIS_LETTERS,
-    _BATCH_LETTER,
     _PAIRWISE_MIN_JOINT_ACTIONS,
-    _batched_plan,
     _conditional_plan,
     _conditional_q,
     _policy_averages,
@@ -343,20 +341,6 @@ class TestConditionalPlan:
                 assert all(len(agents) == 1 for _, agents in steps)
                 order = [agents[0] for _, agents in steps]
                 assert order == greedy_order(counts, prefix)
-
-    def test_batched_plan_adds_one_leading_axis(self):
-        assert _BATCH_LETTER not in _AXIS_LETTERS + "s"
-        assert _batched_plan((2, 3, 4), (2,)) == ((("zsabc,zsa,zsb->zsc", (0, 1)),), (0, 1))
-        for counts in ((2, 3), (4, 4, 4, 4), (5,) * 6):
-            for prefix in all_prefixes(len(counts))[:8]:
-                steps, complement = _conditional_plan(counts, prefix)
-                batched, same = _batched_plan(counts, prefix)
-                assert same == complement
-                for (subscripts, agents), (ours, our_agents) in zip(steps, batched, strict=True):
-                    assert our_agents == agents
-                    inputs, output = subscripts.split("->")
-                    expected = ",".join("z" + t for t in inputs.split(",")) + "->z" + output
-                    assert ours == expected
 
     def test_plans_are_keyed_by_action_counts(self):
         rng = np.random.default_rng(3)

@@ -7,9 +7,9 @@ count, every final table and every field of every trace record; for
 ``cli-files`` it covers each command's exit code and every output file,
 with ``wall_clock_seconds`` dropped from the summaries.
 
-Run from the root of a checkout:
+Run from the root of a checkout, with one seed or several:
 
-    python tools/output_digest.py --seed 0
+    python tools/output_digest.py --seed 0 5
 
 The operations are built by ``perfbench/workloads.py``, unchanged, with
 one BLAS thread; the ``cli-files`` outputs go to a temporary directory.
@@ -99,14 +99,15 @@ def digest(name: str, seed: int) -> tuple[str, int]:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
-    total = 0
-    for name in workloads.WORKLOADS:
-        sha, count = digest(name, args.seed)
-        total += count
-        print(f"{name} {sha} ({count} operations)")
-    print(f"seed {args.seed}: {total} operations")
+    for seed in args.seed:
+        total = 0
+        for name in workloads.WORKLOADS:
+            sha, count = digest(name, seed)
+            total += count
+            print(f"{name} {sha} ({count} operations)")
+        print(f"seed {seed}: {total} operations")
 
 
 if __name__ == "__main__":
