@@ -23,6 +23,7 @@ branch whose iterative evaluation hit its cap has status
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -449,8 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of main, built on its first call and kept for the process:
+# building it takes about 0.7 ms, and at import it would slow every import.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     quiet = bool(getattr(args, "quiet", False))
     try:
         if args.command == "validate":

@@ -34,6 +34,11 @@ _ARGUMENT_RULES = {
         lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1,
         "an iteration cap must be an integer, and iteration caps must be at least 1",
     ),
+    # What numpy's seeding takes; a bool is not a seed.
+    "seed": (
+        lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0,
+        "a seed must be a non-negative integer",
+    ),
 }
 
 

@@ -44,6 +44,24 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 
+# Joint actions per state from which the dense joint tensor takes the
+# kernels of large tables: the joint table's products come from
+# ``np.einsum`` (:func:`_joint_table`), and conditionals contract in
+# pairwise batched matmuls instead of one einsum over every operand
+# (see soft_dp._conditional_plan). The one-shot einsum visits every index
+# of every operand per tensor entry, which is cheapest while the tensor is
+# small; a chain of two-operand steps shrinks the tensor at each step,
+# which wins once it is large. Averaged over the prefixes a sequential
+# sweep conditions on, a chain of two-operand einsums took 1.02-1.73x the
+# one-shot time at 5 states on every shape up to 216 joint actions and
+# 0.32-0.96x from 243 on; at 10 states it lost up to 81 (1.04-1.46x) and
+# won from 125 on (0.27-0.97x). So the crossover lies between 216 and 243;
+# the threshold sits a little above it, at 4^4, since at 243 (3^5) the
+# chain won by only 4 % at 5 states. The batched matmuls that replaced the
+# chain's einsums were measured on the large-joint shapes above it, not at
+# the crossover.
+_PAIRWISE_MIN_JOINT_ACTIONS = 256
+
 
 @dataclass(frozen=True, eq=False)
 class CooperativeMarkovGame:
@@ -447,10 +465,20 @@ def _joint_policy(
 
 
 def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """The product distribution over flattened joint actions, (|S|, prod|A^i|)."""
+    """The product distribution over flattened joint actions, (|S|, prod|A^i|).
+
+    Each entry is one product of two factors, so both kernels give the same
+    bits: a broadcast multiply for small products, and from
+    ``_PAIRWISE_MIN_JOINT_ACTIONS`` entries per state ``np.einsum``, whose
+    loop runs about 1.6x faster there (6 agents x 5 actions x 8 states,
+    one thread of a shared 2-vCPU x86-64 VM: 220 against 350 us).
+    """
     table = tables[0]
     for other in tables[1:]:
-        table = table[:, :, None] * other[:, None, :]
+        if table.shape[1] * other.shape[1] < _PAIRWISE_MIN_JOINT_ACTIONS:
+            table = table[:, :, None] * other[:, None, :]
+        else:
+            table = np.einsum("sa,sb->sab", table, other)
         table = table.reshape(table.shape[0], -1)
     return table
 

@@ -76,8 +76,9 @@ class PermutationRule:
     """How the per-iteration agent ordering is chosen.
 
     kind "fixed" replays one ordering, "random" draws a fresh uniform
-    permutation from a seeded generator each iteration, "cyclic" rotates
-    the identity ordering by one position per iteration.
+    permutation each iteration from a generator seeded by ``seed``, which
+    must be a non-negative integer, "cyclic" rotates the identity ordering
+    by one position per iteration.
     """
 
     kind: str
@@ -89,6 +90,8 @@ class PermutationRule:
             raise ValueError(f"unknown permutation rule {self.kind!r}")
         if self.kind == "fixed" and self.ordering is None:
             raise ValueError("fixed permutation rule needs an ordering")
+        if self.kind == "random":
+            _check_argument("seed", self.seed, "seed")
         if self.ordering is not None:
             object.__setattr__(self, "ordering", tuple(int(i) for i in self.ordering))
 

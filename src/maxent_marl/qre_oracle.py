@@ -94,7 +94,7 @@ def logit_response(
     Q-table of the current joint policy (evaluated exactly unless a table
     is supplied).
     """
-    coef = _logit_coefficients(game, joint_policy, (agent,), alpha, q)[1][0]
+    coef = _logit_coefficients(game, joint_policy, agent, alpha, q)[1][0]
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
 
 
@@ -105,26 +105,28 @@ def qre_residual(
     q: Optional[SoftQTable] = None,
 ) -> float:
     """Sup-norm gap between the policy and its logit response; 0 at a QRE."""
-    agents = range(game.n_agents)
-    tables, coefficients = _logit_coefficients(game, joint_policy, agents, alpha, q)
+    tables, coefficients = _logit_coefficients(game, joint_policy, None, alpha, q)
     return float(_logit_responses(tables, coefficients, alpha)[1])
 
 
-def _logit_coefficients(game, joint_policy, agents, alpha, q):
-    """The policy's tables, and the logit coefficients of each of ``agents``
-    under ``q`` or, when none is supplied, under the policy's exact soft Q.
+def _logit_coefficients(game, joint_policy, agent, alpha, q):
+    """The policy's tables, and the logit coefficients of ``agent`` alone or,
+    given None, of every agent, under ``q`` or, when none is supplied, under
+    the policy's exact soft Q.
 
     The evaluation checks the policy at its start; a supplied table is
     checked here against the game and the policy.
     """
     _check_argument("temperature", alpha, "alpha")
-    agents = _check_prefix(game, agents)
+    prefix = None if agent is None else _check_prefix(game, (agent,))
     if q is None:
         (tables, _logs, _entropies), q_values = _start(game, joint_policy, alpha)[:2]
     else:
         _check_evaluated(game, joint_policy, q, alpha)
         tables, q_values = _tables(joint_policy), q.values
-    return tables, [_contract(game, tables, q_values, (i,)) for i in agents]
+    if prefix is None:
+        return tables, _agent_coefficients(game, tables, q_values)
+    return tables, [_contract(game, tables, q_values, prefix)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from numpy.linalg import _umath_linalg
 
 from .common import _check_argument, _sup_norm
 from .game_core import (
+    _PAIRWISE_MIN_JOINT_ACTIONS,
     CooperativeMarkovGame,
     JointPolicy,
     _entropy_bonus,
@@ -60,19 +61,6 @@ _EXACT_RESIDUAL_TOL = 1e-9
 
 # The iteration cap of an iterative evaluation that is given none.
 _MAX_BACKUPS = 100_000
-
-# Joint actions per state from which conditionals contract in pairwise
-# steps instead of one einsum over every operand (see _conditional_plan).
-# The one-shot einsum visits every index of every operand per tensor entry,
-# which is cheapest while the tensor is small; a chain of two-operand
-# einsums shrinks the tensor at each step, which wins once it is large.
-# Averaged over the prefixes a sequential sweep conditions on, the pairwise
-# chain took 1.02-1.73x the one-shot time at 5 states on every shape up to
-# 216 joint actions and 0.32-0.96x from 243 on; at 10 states it lost up to
-# 81 (1.04-1.46x) and won from 125 on (0.27-0.97x). So the crossover lies
-# between 216 and 243; the threshold sits a little above it, at 4^4, since
-# at 243 (3^5) the chain won by only 4 % at 5 states.
-_PAIRWISE_MIN_JOINT_ACTIONS = 256
 
 
 class EvaluationNotConverged(RuntimeError):
@@ -412,43 +400,79 @@ def _check_prefix(game: CooperativeMarkovGame, prefix: Sequence[int]) -> tuple[i
     return prefix
 
 
+def _contraction_order(action_counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Every agent, the largest action set first, ties in agent order: the
+    order in which a pairwise plan averages agents out."""
+    return tuple(sorted(range(len(action_counts)), key=lambda i: -action_counts[i]))
+
+
 @lru_cache(maxsize=4096)
 def _conditional_plan(
     action_counts: tuple[int, ...], prefix: tuple[int, ...]
-) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], tuple[int, ...]]:
-    """How :func:`_conditional_q` contracts one prefix of one game shape.
+) -> tuple[tuple[tuple[object, tuple[int, ...]], ...], tuple[int, ...]]:
+    """How :func:`_contract` contracts one prefix of one game shape.
 
     Returns the steps and the complement agents. Each step
-    ``(subscripts, agents)`` contracts the running tensor, which starts as
-    the Q tensor, with the policy tables of ``agents`` in one ``np.einsum``.
+    ``(kernel, agents)`` averages the running tensor, which starts as the
+    Q tensor, over the policy tables of ``agents``.
 
     Below ``_PAIRWISE_MIN_JOINT_ACTIONS`` joint actions, and whenever
     fewer than two agents are averaged out, there is a single step over
-    every complement table. From that size on there is one two-operand
-    step per complement agent, the largest action set first (ties in
-    agent order), so that each table shrinks the tensor as much as it can
-    before the next one is applied. That is the order the greedy search
-    of ``np.einsum_path`` picks for these operands. The plan depends on
-    the shape alone and is built once per (action counts, prefix); a game
-    of more agents than there are axis letters has none.
+    every complement table, and its kernel is the subscripts of one
+    ``np.einsum``. From that size on there is one step per complement
+    agent j, in :func:`_contraction_order`, so that each table shrinks the
+    tensor as much as it can before the next one is applied. That is the
+    order the greedy search of ``np.einsum_path`` picks for these
+    operands. Such a step is a batched matmul over axis j where it lies:
+    its kernel ``(shape, result, axes)`` views the running tensor as
+    (rows, pre, |A^j|, post), multiplies the table's rows, (rows, 1, 1,
+    |A^j|), into it, views the product as ``result`` and, on the last step
+    of a prefix out of agent order, transposes it to prefix order by
+    ``axes``. One agent's plan thus contracts the agents ahead of it in
+    that order first, with the steps of every later agent's plan, which
+    :func:`_agent_coefficients` shares. The plan depends on the shape
+    alone and is built once per (action counts, prefix); a game of more
+    agents than there are axis letters has none.
     """
     n_agents = len(action_counts)
     if n_agents > len(_AXIS_LETTERS):
         raise ValueError("dense conditionals support at most 11 agents")
     complement = tuple(i for i in range(n_agents) if i not in prefix)
-    running = "s" + _AXIS_LETTERS[:n_agents]
-    out = "s" + "".join(_AXIS_LETTERS[i] for i in prefix)
     if math.prod(action_counts) < _PAIRWISE_MIN_JOINT_ACTIONS or len(complement) < 2:
-        terms = [running] + ["s" + _AXIS_LETTERS[i] for i in complement]
+        terms = ["s" + _AXIS_LETTERS[:n_agents]] + ["s" + _AXIS_LETTERS[i] for i in complement]
+        out = "s" + "".join(_AXIS_LETTERS[i] for i in prefix)
         return ((",".join(terms) + "->" + out, complement),), complement
-    order = sorted(complement, key=lambda i: -action_counts[i])
     steps = []
-    for i in order:
-        letter = _AXIS_LETTERS[i]
-        result = out if i == order[-1] else running.replace(letter, "")
-        steps.append((f"{running},s{letter}->{result}", (i,)))
-        running = result
+    remaining = list(range(n_agents))
+    for j in _contraction_order(action_counts):
+        if j in prefix:
+            continue
+        at = remaining.index(j)
+        pre = math.prod(action_counts[i] for i in remaining[:at])
+        post = math.prod(action_counts[i] for i in remaining[at + 1 :])
+        remaining.remove(j)
+        result = (-1, *(action_counts[i] for i in remaining))
+        steps.append((((-1, pre, action_counts[j], post), result, ()), (j,)))
+    # The prefix agents are left in agent order.
+    if list(prefix) != remaining:
+        (shape, result, _axes), agents = steps[-1]
+        axes = (0, *(1 + remaining.index(i) for i in prefix))
+        steps[-1] = ((shape, result, axes), agents)
     return tuple(steps), complement
+
+
+def _contracted(steps, tables: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``values`` through ``steps`` of a plan (see :func:`_conditional_plan`);
+    an einsum step takes them in the Q tensor's shape."""
+    for kernel, agents in steps:
+        if kernel.__class__ is str:
+            values = np.einsum(kernel, values, *(tables[i] for i in agents))
+        else:
+            shape, result, axes = kernel
+            values = (tables[agents[0]][:, None, None, :] @ values.reshape(shape)).reshape(result)
+            if axes:
+                values = values.transpose(axes)
+    return values
 
 
 def _contract(
@@ -464,14 +488,12 @@ def _contract(
     and ``q_values`` has shape (rows, joint actions). The rows are states,
     and the state axis is the only batch axis: the iterates of a solve
     laid end to end on it, Q and tables alike, contract in one call, each
-    with the bits of its own call. ``np.einsum`` does not promise that,
-    so the tests check it on every suite shape and a pairwise one.
+    with the bits of its own call. Neither ``np.einsum`` nor matmul
+    promises that, so the tests check it on every suite shape and on
+    pairwise ones.
     """
     steps, _complement = _conditional_plan(game.action_counts, prefix)
-    values = q_values.reshape(-1, *game.action_counts)
-    for subscripts, agents in steps:
-        values = np.einsum(subscripts, values, *(tables[i] for i in agents))
-    return values
+    return _contracted(steps, tables, q_values.reshape(-1, *game.action_counts))
 
 
 def _with_entropy(
@@ -513,8 +535,22 @@ def _agent_coefficients(
 
     Checked arguments. The others' entropy, constant in a^i, is left out;
     :func:`_with_entropy` adds it back bit for bit where it is needed.
+    Pairwise plans share their leading steps: along
+    :func:`_contraction_order`, the agents ahead of agent i are averaged
+    out once for i and every later agent, and i's own plan goes on from
+    there. Each agent's coefficients are the bits of its own
+    :func:`_contract`, on which the sweeps' ``reuse`` relies.
     """
-    return [_contract(game, tables, q_values, (i,)) for i in range(game.n_agents)]
+    values = q_values.reshape(-1, *game.action_counts)
+    plans = [_conditional_plan(game.action_counts, (i,))[0] for i in range(game.n_agents)]
+    if len(plans[0]) == 1:  # one einsum per agent: no steps to share
+        return [_contracted(steps, tables, values) for steps in plans]
+    coefficients = [None] * game.n_agents
+    for k, i in enumerate(_contraction_order(game.action_counts)):
+        if k:  # Q averaged over the k agents ahead of i: i's first k steps
+            values = _contracted(plans[i][k - 1 : k], tables, values)
+        coefficients[i] = _contracted(plans[i][k:], tables, values)
+    return coefficients
 
 
 def multiagent_soft_q(

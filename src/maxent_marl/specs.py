@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .common import SolveTrace, _check_argument
+from .common import _ARGUMENT_RULES, SolveTrace, _check_argument
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -363,9 +363,11 @@ def _finite(key: str, value: Any) -> float:
 
 def _seed(value: Any) -> int:
     """The experiment seed: an integer, and non-negative, as numpy's seeding
-    requires."""
+    requires; a number of integral value is read as an integer, and the
+    rest is the "seed" rule of ``common._ARGUMENT_RULES``, which
+    ``haspi.PermutationRule`` applies too."""
     seed = _integer("seed", value, "experiment")
-    if seed < 0:
+    if not _ARGUMENT_RULES["seed"][0](seed):
         raise ValueError(f"experiment field 'seed' must be a non-negative integer, got {value!r}")
     return seed
 

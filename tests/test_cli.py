@@ -714,6 +714,16 @@ class TestCliInterface:
         assert main(["validate", bad]) == EXIT_INVALID
         assert "gamma" in capsys.readouterr().err
 
+    def test_the_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        good = write_json(tmp_path / "good.game", MATRIX_GAME_JSON)
+        monkeypatch.setattr(cli, "_parser", cli.functools.cache(cli.build_parser))
+        assert main(["validate", good]) == main(["validate", good, "--quiet"]) == EXIT_OK
+        with pytest.raises(SystemExit):  # argparse's exit on an unknown command
+            main(["replicate"])
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser.cache_info().hits == 2
+        assert capsys.readouterr().out == f"{good}: ok\n"
+
     def test_seed_override(self, tmp_path):
         spec_path = write_json(tmp_path / "run.json", HASPI_SPEC)
         assert main(

@@ -257,6 +257,16 @@ class TestHaspiSolve:
             perms = {rec.permutation for rec in trace.iterations if rec.permutation}
             assert all(sorted(p) == [0, 1, 2] for p in perms)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None], ids=repr)
+    def test_random_rule_rejects_a_bad_seed_at_construction(self, seed):
+        # The rule of the spec layer's seed: a non-negative integer, not a bool.
+        with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got seed={seed}")):
+            random_order(seed)
+
+    def test_random_rule_takes_any_numpy_seed(self):
+        for seed in (0, 2**70, np.int64(7)):
+            assert random_order(seed).sampler(3)(0) in set(itertools.permutations(range(3)))
+
     def test_options_validation(self):
         with pytest.raises(ValueError, match="positive"):
             HaspiOptions(alpha=0.0)
@@ -290,8 +300,9 @@ class TestMasacSolve:
             assert np.allclose(rec.policies[0], rec.policies[1], atol=1e-14)
 
 
-def solve_each_way(game, start, alpha, k, record_trace, max_iters=300):
-    """Final policy and trace of every solver sharing the outer loop."""
+def solve_each_way(game, start, alpha, k, record_trace, max_iters=300, names=None):
+    """Final policy and trace of every solver sharing the outer loop, or of
+    those ``names`` picks."""
     options = HaspiOptions(
         alpha=alpha, max_outer_iters=max_iters, permutation_rule=random_order(k),
         record_trace=record_trace,
@@ -303,11 +314,29 @@ def solve_each_way(game, start, alpha, k, record_trace, max_iters=300):
     }
     runs = {}
     for name, solve in (("haspi", haspi_solve), ("masac", masac_solve)):
-        policy, _q, trace = solve(game, start, options)
-        runs[name] = (policy, trace)
+        if names is None or name in names:
+            policy, _q, trace = solve(game, start, options)
+            runs[name] = (policy, trace)
     for name, (drift, hood, mode) in mehaml.items():
-        runs[name] = mehaml_solve(game, start, alpha, drift, hood, options=options, mode=mode)
+        if names is None or name in names:
+            runs[name] = mehaml_solve(game, start, alpha, drift, hood, options=options, mode=mode)
     return runs
+
+
+def assert_trace_free(game, start, alpha, k, names=None):
+    """Traced and untraced solves end at the same status, sweep count and
+    bits: the traced sweeps reuse the records' contractions, the untraced
+    ones make their own."""
+    traced = solve_each_way(game, start, alpha, k, True, names=names)
+    untraced = solve_each_way(game, start, alpha, k, False, names=names)
+    assert list(traced) == list(untraced) == list(names or traced)
+    for name, (policy, trace) in traced.items():
+        other_policy, other_trace = untraced[name]
+        assert (trace.status, trace.sweeps) == (other_trace.status, other_trace.sweeps), name
+        assert trace.sweeps > 1 and len(trace.iterations) == trace.sweeps + 1
+        assert not other_trace.iterations
+        for a, b in zip(policy.agents, other_policy.agents):
+            assert a.table.tobytes() == b.table.tobytes(), name
 
 
 # Two 2-agent suite games and one 3-agent game.
@@ -320,16 +349,7 @@ class TestSharedLoop:
         # Only a traced run reuses the record's contractions in the next sweep.
         k, n_agents, n_states, counts, gamma, alpha = params
         game = suite_game(k, n_agents, n_states, counts, gamma)
-        start = random_start(game, k)
-        traced = solve_each_way(game, start, alpha, k, True)
-        untraced = solve_each_way(game, start, alpha, k, False)
-        for name, (policy, trace) in traced.items():
-            other_policy, other_trace = untraced[name]
-            assert (trace.status, trace.sweeps) == (other_trace.status, other_trace.sweeps), name
-            assert trace.sweeps > 1 and len(trace.iterations) == trace.sweeps + 1
-            assert not other_trace.iterations
-            for a, b in zip(policy.agents, other_policy.agents):
-                assert a.table.tobytes() == b.table.tobytes(), name
+        assert_trace_free(game, random_start(game, k), alpha, k)
 
     @pytest.mark.parametrize("params", TRACE_GAMES[:2], ids=lambda p: f"game{p[0]}")
     def test_records_equal_a_fresh_evaluation(self, params):
@@ -537,6 +557,16 @@ def test_a_trace_adds_one_contraction_per_agent_per_flush(k, solver, monkeypatch
 # The 4 x 4 x 10 shape of perfbench's large-joint workload: its pairwise chain
 # and a flush of 12 records under the byte cap.
 LARGE_JOINT_GAME = (random_game(7004, 4, 10, (4, 4, 4, 4), -1.0, 1.0, 0.9), 7004, 1.0)
+
+
+@pytest.mark.parametrize(
+    "case", [PAIRWISE_GAME, LARGE_JOINT_GAME], ids=["pairwise", "large-joint"]
+)
+def test_pairwise_iterates_do_not_depend_on_the_trace(case):
+    # The records' contractions share leading steps across agents; a sweep
+    # that reuses them must see the bits of its own contraction.
+    game, k, alpha = case
+    assert_trace_free(game, random_start(game, k), alpha, k, ("haspi", "masac", "mehaml-kl"))
 
 
 def batch_cases():

@@ -3,7 +3,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -354,6 +358,78 @@ class TestConditionalPlan:
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(q.values).max()
         assert _conditional_plan.cache_info().misses == 2
         assert _conditional_plan.cache_info().hits == 0
+
+    @pytest.mark.parametrize("counts", [(5,) * 6, (3, 4, 5, 2, 3), (4, 4, 4, 4)], ids=str)
+    def test_agent_coefficients_share_leading_steps_bit_for_bit(self, counts):
+        """Along the shared order each agent's plan starts with the agents
+        ahead of it, and the shared steps give each agent the bits of its
+        own contraction."""
+        game, tables, q_values = pairwise_case(counts)
+        coefficients = soft_dp._agent_coefficients(game, tables, q_values)
+        order = soft_dp._contraction_order(counts)
+        assert sorted(order) == list(range(len(counts)))
+        for i in order:
+            steps = _conditional_plan(counts, (i,))[0]
+            assert [agents for _, agents in steps] == [(j,) for j in order if j != i]
+            single = soft_dp._contract(game, tables, q_values, (i,))
+            assert coefficients[i].shape == (game.n_states, counts[i])
+            assert coefficients[i].tobytes() == single.tobytes()
+
+    def test_unsorted_prefixes_on_unequal_action_counts(self):
+        # The last matmul step puts the prefix agents in prefix order.
+        counts = (3, 4, 5, 2, 3)
+        game, tables, q_values = pairwise_case(counts)
+        jp = joint_policy_from_rows(tables)
+        for prefix in ((4, 1), (2, 0, 3), (1, 0), (0, 4, 2), (3,)):
+            got = _conditional_q(game, jp, q_values, prefix, 0.5)
+            expected = one_shot_conditional(game, jp, q_values, prefix, 0.5)
+            assert got.shape == expected.shape == (game.n_states, *(counts[i] for i in prefix))
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(q_values).max()
+
+
+def pairwise_case(counts, n_states=3):
+    """A game of the given action counts, random policy tables and a random Q."""
+    game = random_game(21, len(counts), n_states, counts, -1.0, 1.0, 0.9)
+    assert game.n_joint_actions >= _PAIRWISE_MIN_JOINT_ACTIONS
+    rng = np.random.default_rng(21)
+    tables = [rng.dirichlet(np.ones(c), size=n_states) for c in counts]
+    return game, tables, rng.uniform(-5.0, 5.0, (n_states, game.n_joint_actions))
+
+
+# The bytes of the large-table kernels at perfbench's 6 x 5 x 8 large-joint
+# shape: every agent's coefficients, one agent's contraction, the joint table.
+KERNEL_BYTES = """
+import hashlib
+import numpy as np
+from maxent_marl.game_core import _joint_table, random_game
+from maxent_marl.soft_dp import _agent_coefficients, _contract
+game = random_game(7006, 6, 8, (5,) * 6, -1.0, 1.0, 0.9)
+rng = np.random.default_rng(7006)
+tables = [rng.dirichlet(np.ones(5), size=8) for _ in range(6)]
+q = rng.uniform(-5.0, 5.0, (8, game.n_joint_actions))
+h = hashlib.sha256()
+for array in (*_agent_coefficients(game, tables, q), _contract(game, tables, q, (2,)), _joint_table(tables)):
+    h.update(array.tobytes())
+print(h.hexdigest())
+"""
+
+
+def available_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_large_table_kernels_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(soft_dp.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", KERNEL_BYTES], capture_output=True, text=True, env=env, check=True
+        )
+        digests.append(result.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def exact_values(game, jp, alpha):
