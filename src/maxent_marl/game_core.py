@@ -152,10 +152,6 @@ class CooperativeMarkovGame:
             reward_norm = float(np.abs(self.reward).sum(axis=1).max())
         return math.isfinite(self.transition_norm) and math.isfinite(reward_norm)
 
-    def joint_index(self, joint_action: Sequence[int]) -> int:
-        """Flat index of a joint action tuple (row-major agent order)."""
-        return int(np.ravel_multi_index(tuple(joint_action), self.action_counts))
-
     def joint_actions(self) -> Iterator[tuple[int, ...]]:
         """Iterate over all joint actions in flat-index order."""
         return iter(np.ndindex(*self.action_counts))

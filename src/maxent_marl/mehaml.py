@@ -23,7 +23,9 @@ feasible and never decreases the per-state mirror value.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +37,7 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     _agent_policy,
+    _joint_policy,
     _kl_rows,
     _log_and_entropy,
     _policy_arrays,
@@ -76,11 +79,17 @@ _BACKTRACK_FLOOR = 1e-12
 class DriftFunctional:
     """Penalty on a candidate row given the current joint policy.
 
-    Subclasses implement ``__call__``; a valid drift is non-negative,
-    exactly zero when the candidate equals the incumbent row, and flat to
-    first order there. The updated-prefix argument lets a drift condition
-    on teammates that moved earlier in the sweep; the instances shipped
-    here do not use it. The line search reads drifts through :meth:`rows`.
+    Subclasses implement ``__call__``, the per-state definition: a valid
+    drift is non-negative, exactly zero when the candidate equals the
+    incumbent row, and flat to first order there. The updated-prefix
+    argument lets a drift condition on teammates that moved earlier in the
+    sweep; the instances shipped here do not use it.
+
+    The line search reads drifts through :meth:`rows`, which takes the
+    solver's arrays, not policy objects: ``old`` is the old iterate's
+    :data:`maxent_marl.haspi.Arrays` (per agent, in id order, its table,
+    log table and entropy rows), ``new`` the sweep's arrays so far, and
+    ``prefix`` is ``(updated agents..., agent)``.
     """
 
     name = "base"
@@ -96,17 +105,32 @@ class DriftFunctional:
     ) -> float:
         raise NotImplementedError
 
-    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
-        """The drift of ``candidate_rows[k]`` at state ``states[k]``, for every k.
+    def rows(self, game, old, new, prefix, candidate_rows, states):
+        """The drift of agent ``prefix[-1]``'s ``candidate_rows[k]`` at state
+        ``states[k]``, for every k.
 
-        Returns shape (len(states),). This default calls ``__call__`` once
-        per row, so a drift that implements only ``__call__`` works with
-        the line search. The drifts shipped here compute all rows at once,
-        and their ``__call__`` is the one-row case.
+        Returns shape (len(states),). This default builds the old joint
+        policy and the prefix's new policies from the arrays and calls
+        ``__call__`` once per row, so a drift that implements only
+        ``__call__`` works with the line search. The drifts shipped here
+        compute all rows at once from the arrays, and their ``__call__`` is
+        the one-row case.
         """
+        joint_policy, agent = _joint_policy(*old), prefix[-1]
+        updated_prefix = [_agent_policy(i, *(a[i] for a in new)) for i in prefix[:-1]]
         calls = zip(candidate_rows, states)
         values = [self(game, joint_policy, agent, row, int(s), updated_prefix) for row, s in calls]
         return np.array(values, dtype=np.float64)
+
+
+def _sweep_arrays(
+    joint_policy: JointPolicy, updated_prefix: Sequence[AgentPolicy], agent: int
+) -> tuple[Arrays, Arrays, tuple[int, ...]]:
+    """The ``(old, new, prefix)`` arguments of a row rule, and of a drift's
+    ``rows``, for a joint policy, the updated prefix's policies and the agent."""
+    mixed = functools.reduce(JointPolicy.replace, updated_prefix, joint_policy)
+    prefix = tuple(p.agent_id for p in updated_prefix) + (agent,)
+    return _policy_arrays(joint_policy), _policy_arrays(mixed), prefix
 
 
 class TrivialDrift(DriftFunctional):
@@ -115,9 +139,10 @@ class TrivialDrift(DriftFunctional):
     name = "trivial"
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        return float(self.rows(game, joint_policy, agent, [candidate_row], [state])[0])
+        arrays = _sweep_arrays(joint_policy, updated_prefix, agent)
+        return float(self.rows(game, *arrays, [candidate_row], [state])[0])
 
-    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
+    def rows(self, game, old, new, prefix, candidate_rows, states):
         """Zero for every row."""
         return np.zeros(len(states))
 
@@ -135,12 +160,13 @@ class KlDrift(DriftFunctional):
             raise ValueError(f"KL drift coefficient must be finite and >= 0, got {self.beta}")
 
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        return float(self.rows(game, joint_policy, agent, [candidate_row], [state])[0])
+        arrays = _sweep_arrays(joint_policy, updated_prefix, agent)
+        return float(self.rows(game, *arrays, [candidate_row], [state])[0])
 
-    def rows(self, game, joint_policy, agent, candidate_rows, states, updated_prefix=()):
-        """beta * KL against the incumbent's row at each state, from its cached log."""
+    def rows(self, game, old, new, prefix, candidate_rows, states):
+        """beta * KL against the incumbent's row at each state, from its log table."""
         p = np.asarray(candidate_rows, dtype=np.float64)
-        return self.beta * _kl_rows(p, joint_policy.agents[agent]._log_table[states])
+        return self.beta * _kl_rows(p, old[1][prefix[-1]][states])
 
 
 def kl_drift(beta_coef: float) -> KlDrift:
@@ -265,9 +291,17 @@ def mehamo_eval(
     alpha: float,
     s: int,
 ) -> float:
-    """The mirror value of one candidate row at one state, by enumeration."""
+    """The mirror value of one candidate row at one state, by enumeration.
+
+    A state outside the game, or a row whose length is not the agent's
+    action count, raises a ValueError.
+    """
     coef = expected_conditional_q(game, q, joint_policy, updated_prefix, agent, alpha)
-    cand = np.asarray(candidate_row, dtype=np.float64)
+    if not (isinstance(s, numbers.Integral) and 0 <= s < game.n_states):
+        raise ValueError(f"state must be an integer in [0, {game.n_states}), got s={s!r}")
+    cand, n = np.asarray(candidate_row, dtype=np.float64), game.action_counts[agent]
+    if cand.shape != (n,):
+        raise ValueError(f"agent {agent}'s candidate row must have shape ({n},), got {cand.shape}")
     drift_value = drift(game, joint_policy, agent, cand, s, updated_prefix)
     return float(_mirror_values(coef[s], cand, alpha, drift_value))
 
@@ -300,30 +334,6 @@ def _kl_regularized_rows(
     return _boltzmann_rows(beta * incumbent_log + coef, alpha + beta)
 
 
-class _DriftArguments:
-    """The policies a drift's ``rows`` takes in a line search: the old
-    iterate's joint policy and the sweep's updated prefix, each built on
-    first use and once per table (a sweep's new tables are the next
-    iterate's old ones)."""
-
-    def __init__(self) -> None:
-        self.joint = (None, None)  # the old tables' list and their joint policy
-        self.policies = {}  # id(table) -> (table, policy); a held table keeps its id
-
-    def policy(self, arrays: Arrays, i: int) -> AgentPolicy:
-        table = arrays[0][i]
-        if id(table) not in self.policies:
-            self.policies[id(table)] = (table, _agent_policy(i, *(a[i] for a in arrays)))
-        return self.policies[id(table)][1]
-
-    def __call__(self, old: Arrays, new: Arrays, prefix: tuple[int, ...]):
-        if self.joint[0] is not old[0]:
-            agents = tuple(self.policy(old, i) for i in range(len(old[0])))
-            self.policies = {id(t): self.policies[id(t)] for t in old[0]}
-            self.joint = (old[0], JointPolicy(agents))
-        return self.joint[1], [self.policy(new, i) for i in prefix[:-1]]
-
-
 def _mirror_rule(
     game: CooperativeMarkovGame,
     drift: DriftFunctional,
@@ -336,7 +346,6 @@ def _mirror_rule(
     if mode == "closed_form" and not isinstance(drift, (TrivialDrift, KlDrift)):
         raise ValueError(f"no closed form for drift {drift.name!r}; use mode='line_search'")
     needs_backtrack = mode == "line_search" or not isinstance(neighborhood, FullNeighborhood)
-    drift_arguments = _DriftArguments()
 
     def rule(old, new, prefix, coef, alpha):
         agent = prefix[-1]
@@ -349,10 +358,9 @@ def _mirror_rule(
             raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
             return target
-        joint_policy_old, updated_prefix = drift_arguments(old, new, prefix)
 
         def mirror_values(states, rows, entropy=None):
-            drift_values = drift.rows(game, joint_policy_old, agent, rows, states, updated_prefix)
+            drift_values = drift.rows(game, old, new, prefix, rows, states)
             return _mirror_values(coef[states], rows, alpha, drift_values, entropy)
 
         # Every state backtracks from t = 1 at once; a state leaves the
@@ -401,11 +409,7 @@ def mehaml_local_update(
     coef = expected_conditional_q(
         game, q_old, joint_policy_old, updated_prefix, agent, alpha
     )
-    mixed = joint_policy_old
-    for policy in updated_prefix:
-        mixed = mixed.replace(policy)
-    prefix = tuple(p.agent_id for p in updated_prefix) + (agent,)
-    rows = rule(_policy_arrays(joint_policy_old), _policy_arrays(mixed), prefix, coef, alpha)
+    rows = rule(*_sweep_arrays(joint_policy_old, updated_prefix, agent), coef, alpha)
     return AgentPolicy(agent, rows)
 
 
@@ -467,10 +471,20 @@ def hadf_property_check(
     probes row + eps * delta with simplex-tangent unit directions delta:
     the log-log slope of drift value against eps must be at least 1.5
     (a quadratic bowl scores 2, a kinked distance like total variation
-    scores 1 and fails). Returns the worst observations, never raises.
+    scores 1 and fails); with no usable probe, flatness is not shown and
+    the check fails. A drift that breaks a property is reported in the
+    returned worst observations, not raised. Arguments that would leave
+    the probes undefined raise a ValueError naming the argument.
     """
+    epsilons = sorted({float(e) for e in epsilons})
+    # Written so that NaN fails the test too.
+    if len(epsilons) < 2 or not all(0 < e < math.inf for e in epsilons):
+        raise ValueError(f"epsilons need 2+ distinct finite values > 0, got epsilons={epsilons}")
+    if not (isinstance(n_directions, numbers.Integral) and n_directions >= 1):
+        raise ValueError(f"n_directions must be an integer >= 1, got n_directions={n_directions}")
+    if not sample_policies:
+        raise ValueError("sample_policies must hold at least one joint policy")
     rng = np.random.default_rng(seed)
-    epsilons = sorted(float(e) for e in epsilons)
     worst_value = np.inf
     worst_identity = 0.0
     worst_slope = np.inf
@@ -494,9 +508,7 @@ def hadf_property_check(
                     if norm < 1e-12:
                         continue
                     delta /= norm
-                    usable = [
-                        e for e in epsilons if (own + e * delta).min() >= 0.0
-                    ]
+                    usable = np.array([e for e in epsilons if (own + e * delta).min() >= 0.0])
                     if len(usable) < 2:
                         continue
                     values = np.array(
@@ -508,9 +520,7 @@ def hadf_property_check(
                     mask = values > 1e-300
                     if mask.sum() < 2:
                         continue
-                    slope = np.polyfit(
-                        np.log(np.asarray(usable)[mask]), np.log(values[mask]), 1
-                    )[0]
+                    slope = np.polyfit(np.log(usable[mask]), np.log(values[mask]), 1)[0]
                     worst_slope = min(worst_slope, float(slope))
 
     if not np.isfinite(worst_value):
@@ -520,7 +530,7 @@ def hadf_property_check(
         worst_value=float(worst_value),
         zero_at_identity_ok=worst_identity <= 1e-12,
         worst_identity_value=float(worst_identity),
-        zero_gradient_ok=(not np.isfinite(worst_slope)) or worst_slope >= 1.5,
-        worst_slope=float(worst_slope) if np.isfinite(worst_slope) else float("inf"),
+        zero_gradient_ok=probes > 0 and worst_slope >= 1.5,
+        worst_slope=float(worst_slope),
         probes=probes,
     )

@@ -28,7 +28,7 @@ from maxent_marl import (
     uniform_state_weighting,
 )
 from maxent_marl.common import boltzmann_rows
-from maxent_marl.game_core import AgentPolicy, _policy_arrays
+from maxent_marl.game_core import AgentPolicy, JointPolicy, _policy_arrays
 from maxent_marl.haspi import expected_conditional_q
 from maxent_marl.mehaml import (
     DRIFTS,
@@ -39,7 +39,7 @@ from maxent_marl.mehaml import (
     _kl_regularized_rows,
     _mirror_rule,
 )
-from conftest import random_start, suite_game, suite_params
+from conftest import START_ROW, random_start, suite_game, suite_params
 
 
 class TotalVariationDrift(DriftFunctional):
@@ -50,6 +50,23 @@ class TotalVariationDrift(DriftFunctional):
     def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
         q = joint_policy.agents[agent].table[state]
         return float(np.abs(np.asarray(candidate_row) - q).sum())
+
+
+class RecordingDrift(DriftFunctional):
+    """A squared-distance drift that defines only ``__call__`` and records
+    what each call is handed: the agent, the joint policy's tables, and
+    the ids and tables of the updated prefix, in order."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
+        tables = [p.table for p in joint_policy.agents]
+        self.calls.append((agent, tables, [(p.agent_id, p.table) for p in updated_prefix]))
+        q = joint_policy.agents[agent].table[state]
+        return float(((np.asarray(candidate_row) - q) ** 2).sum())
 
 
 class TestKlDrift:
@@ -128,6 +145,25 @@ class TestMehamoEval:
             start_policy.agents[0].table[0], [], 0, alpha, 0,
         )
         assert value_best > value_start
+
+    @pytest.mark.parametrize(
+        "s, row, match",
+        [
+            (-1, START_ROW, "state must be"),
+            (1, START_ROW, "state must be"),
+            (5, START_ROW, "state must be"),
+            (0.0, START_ROW, "state must be"),
+            (0, (0.5, 0.5), "candidate row"),
+            (0, (START_ROW,), "candidate row"),
+        ],
+        ids=["negative", "one-past", "far-past", "float", "short-row", "table"],
+    )
+    def test_bad_state_or_row_rejected(self, matrix_game, start_policy, s, row, match):
+        q = evaluate_policy_exact(matrix_game, start_policy, 1.0)
+        with pytest.raises(ValueError, match=match):
+            mehamo_eval(
+                matrix_game, start_policy, q, kl_drift(1.0), np.array(row), [], 0, 1.0, s
+            )
 
     def test_prefix_overlap_rejected(self, matrix_game, start_policy):
         q = evaluate_policy_exact(matrix_game, start_policy, 1.0)
@@ -313,14 +349,76 @@ class TestWholeTableLineSearch:
         rows = random_start(game, 40).agents[1].table
         states = np.arange(game.n_states)
         incumbent = jp.agents[1].table
+        arrays = _policy_arrays(jp)
         for drift in (kl_drift(0.7), trivial_drift(), TotalVariationDrift()):
-            got = drift.rows(game, jp, 1, rows, states)
+            got = drift.rows(game, arrays, arrays, (1,), rows, states)
             expected = [drift(game, jp, 1, rows[s], s) for s in states]
             assert got.tolist() == expected
         for hood in (kl_ball(0.05), kl_ball(10.0), full_neighborhood()):
             got = hood.contains_rows(incumbent, rows)
             assert got.dtype == bool
             assert got.tolist() == [hood.contains(incumbent[s], rows[s]) for s in states]
+
+
+class TestDriftArguments:
+    """What a line search hands its drift, on a 3-agent suite game."""
+
+    K = 7  # 3 agents, 3 states, (3, 4, 2) actions, alpha = 1
+
+    def _setup(self):
+        k, n_agents, n_states, counts, gamma, alpha = list(suite_params(self.K + 1))[self.K]
+        assert n_agents == 3
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        return game, random_start(game, k), alpha
+
+    def test_a_call_only_drift_sees_the_old_iterate_and_the_sweeps_prefix(self):
+        game, start, alpha = self._setup()
+        drift = RecordingDrift()
+        options = HaspiOptions(
+            alpha=alpha, max_outer_iters=6, permutation_rule=fixed_order((2, 0, 1))
+        )
+        _p, trace = mehaml_solve(
+            game, start, alpha, drift, full_neighborhood(), options=options, mode="line_search"
+        )
+        iterates = [[t.tobytes() for t in rec.policies] for rec in trace.iterations]
+        prefix_ids = {2: [], 0: [2], 1: [2, 0]}
+        sweep, previous = -1, None
+        for agent, tables, prefix in drift.calls:
+            if agent == 2 and previous != 2:
+                sweep += 1  # agent 2 opens every sweep
+            previous = agent
+            assert [t.tobytes() for t in tables] == iterates[sweep]
+            assert [i for i, _ in prefix] == prefix_ids[agent]
+            assert [t.tobytes() for _, t in prefix] == [iterates[sweep + 1][i] for i, _ in prefix]
+        assert previous == 1 and sweep + 1 == trace.sweeps == 6
+
+    def test_shipped_drifts_build_no_policy_per_sweep(self, monkeypatch):
+        game, start, alpha = self._setup()
+        built = []
+        for cls in (AgentPolicy, JointPolicy):
+
+            def counting(self, cls=cls, post_init=cls.__post_init__):
+                built.append(cls)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        def constructions(mode, hood, sweeps):
+            options = HaspiOptions(
+                alpha=alpha, tol_policy=1e-300, max_outer_iters=sweeps,
+                permutation_rule=fixed_order((2, 0, 1)),
+            )
+            built.clear()
+            _p, trace = mehaml_solve(
+                game, start, alpha, kl_drift(1.0), hood, options=options, mode=mode
+            )
+            assert trace.sweeps == sweeps
+            return built.count(AgentPolicy), built.count(JointPolicy)
+
+        closed_form = constructions("closed_form", full_neighborhood(), 4)
+        assert closed_form[0] > 0
+        assert constructions("line_search", kl_ball(0.05), 4) == closed_form
+        assert constructions("line_search", kl_ball(0.05), 12) == closed_form
 
 
 class TestMehamlSolve:
@@ -422,6 +520,39 @@ class TestHadfPropertyCheck:
             trivial_drift(), matrix_game, self._samples(matrix_game)
         )
         assert report.ok
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"epsilons": (1e-2,)}, "epsilons"),
+            ({"epsilons": ()}, "epsilons"),
+            ({"epsilons": (1e-2, 1e-2)}, "epsilons"),
+            ({"epsilons": (1e-2, 0.0)}, "epsilons"),
+            ({"epsilons": (1e-2, -1e-3)}, "epsilons"),
+            ({"epsilons": (1e-2, math.nan)}, "epsilons"),
+            ({"epsilons": (1e-2, math.inf)}, "epsilons"),
+            ({"n_directions": 0}, "n_directions"),
+            ({"n_directions": -1}, "n_directions"),
+        ],
+        ids=["one", "none", "repeated", "zero", "negative", "nan", "inf", "no-directions",
+             "negative-directions"],
+    )
+    def test_arguments_that_leave_no_slope_are_rejected(self, matrix_game, options, name):
+        samples = self._samples(matrix_game)
+        with pytest.raises(ValueError, match=name):
+            hadf_property_check(TotalVariationDrift(), matrix_game, samples, **options)
+
+    def test_no_sample_policies_rejected(self, matrix_game):
+        with pytest.raises(ValueError, match="sample_policies"):
+            hadf_property_check(TotalVariationDrift(), matrix_game, [])
+
+    def test_no_usable_probe_does_not_certify_flatness(self):
+        # With one action per agent every simplex-tangent direction is zero.
+        game = new_matrix_game(np.array([[1.0]]))
+        report = hadf_property_check(TotalVariationDrift(), game, [uniform_joint_policy(game)])
+        assert report.probes == 0
+        assert not report.zero_gradient_ok
+        assert not report.ok
 
     def test_total_variation_fails_flatness(self, matrix_game):
         report = hadf_property_check(
