@@ -32,7 +32,7 @@ from .game_core import (
     joint_action_table,
     sup_policy_distance,
 )
-from .soft_dp import _contract
+from .soft_dp import _check_prefix, _contract
 
 __all__ = [
     "BaselineOptions",
@@ -96,6 +96,7 @@ def surrogate_coefficients(
     everyone else stays at the old policy.
     """
     _check_matrix_scope(game)
+    _check_prefix(game, (agent,))
     joint = joint_action_table(joint_policy)[0]
     value = float(joint @ game.reward[0])
     advantage = game.reward - value

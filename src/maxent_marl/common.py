@@ -39,6 +39,8 @@ _ARGUMENT_RULES = {
         lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0,
         "a seed must be a non-negative integer",
     ),
+    # A grid step of at most the simplex's own width.
+    "grid resolution": (lambda x: 0 < x <= 1, "a grid resolution must be finite and in (0, 1]"),
 }
 
 
@@ -47,6 +49,14 @@ def _check_argument(kind: str, value, name: str) -> None:
     test, rule = _ARGUMENT_RULES[kind]
     if not test(value):
         raise ValueError(f"{rule}, got {name}={value}")
+
+
+def _check_index(kind: str, value, count: int, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integer in [0, count), the rule for a state or an action of a game."""
+    if not (isinstance(value, numbers.Integral) and 0 <= value < count):
+        raise ValueError(f"{kind} must be an integer in [0, {count}), got {name}={value!r}")
+    return int(value)
 
 
 def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import _sup_norm
+from .common import _check_argument, _check_index, _sup_norm
 
 __all__ = [
     "CooperativeMarkovGame",
@@ -168,8 +168,8 @@ class AgentPolicy:
     rows are strictly positive analytically without needing a positive
     floor. Construction makes the table a read-only copy of the input, so
     the logs and row entropies cached on first use cannot go stale. The
-    solvers iterate on plain tables and build policies only for their
-    results (see :func:`_joint_policy`).
+    solvers iterate on plain tables and build policies, with
+    :func:`joint_policy_from_rows`, only for their results.
     """
 
     agent_id: int
@@ -212,14 +212,6 @@ class AgentPolicy:
         Computed together once, without a warning; both read-only.
         """
         return _table_logs(self.table)
-
-    @property
-    def _log_table(self) -> np.ndarray:
-        return self._logs[0]
-
-    @property
-    def _entropy_rows(self) -> np.ndarray:
-        return self._logs[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,6 +321,7 @@ def random_game(
     Rewards are uniform in [reward_low, reward_high]; transition rows are
     drawn uniform and normalized; the initial distribution is uniform.
     """
+    _check_argument("seed", seed, "seed")
     counts = tuple(int(c) for c in action_counts)
     if n_states < 1 or any(c < 1 for c in counts):
         raise ValueError("state and action counts must be positive")
@@ -396,6 +389,7 @@ def validate_game(game: CooperativeMarkovGame) -> list[str]:
 
 def policy_entropy(policy: AgentPolicy, s: int) -> float:
     """Shannon entropy in nats of the policy row at state s; 0*log 0 = 0."""
+    s = _check_index("state", s, policy.n_states, "s")
     return float(_log_and_entropy(policy.table[s])[1])
 
 
@@ -404,7 +398,7 @@ def policy_entropy_rows(policy: AgentPolicy) -> np.ndarray:
 
     Computed on the policy's first call and cached on it.
     """
-    return policy._entropy_rows
+    return policy._logs[1]
 
 
 def _log_and_entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,23 +435,6 @@ def _policy_arrays(joint_policy: JointPolicy) -> tuple[list, list, list]:
     """Every agent's table, log table and entropy rows: a solver's state."""
     agents = joint_policy.agents
     return [a.table for a in agents], [a._logs[0] for a in agents], [a._logs[1] for a in agents]
-
-
-def _agent_policy(
-    agent_id: int, table: np.ndarray, log: np.ndarray, rows: np.ndarray
-) -> AgentPolicy:
-    """The checked policy of a table a solver made, holding the log and
-    entropy rows the solver computed for it: its copy's have the same bits."""
-    policy = AgentPolicy(agent_id, table)
-    policy.__dict__["_logs"] = (log, rows)
-    return policy
-
-
-def _joint_policy(
-    tables: Sequence[np.ndarray], logs: Sequence[np.ndarray], entropies: Sequence[np.ndarray]
-) -> JointPolicy:
-    """The checked joint policy of a solver's iterate (see :func:`_agent_policy`)."""
-    return JointPolicy(tuple(map(_agent_policy, range(len(tables)), tables, logs, entropies)))
 
 
 def _joint_table(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -501,9 +478,17 @@ def _kl_rows(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 def joint_action_prob(
     joint_policy: JointPolicy, s: int, joint_action: Sequence[int]
 ) -> float:
-    """Probability of a joint action: product of per-agent entries."""
+    """Probability of a joint action: product of per-agent entries.
+
+    The state and each agent's action must be in range, and the joint
+    action must hold one action per agent; else a ValueError names them.
+    """
+    s = _check_index("state", s, joint_policy.n_states, "s")
+    if len(joint_action) != joint_policy.n_agents:
+        raise ValueError(f"joint action {tuple(joint_action)} is not one action per agent")
     prob = 1.0
-    for agent, a in zip(joint_policy.agents, joint_action):
+    for i, (agent, a) in enumerate(zip(joint_policy.agents, joint_action)):
+        a = _check_index("action", a, agent.n_actions, f"joint_action[{i}]")
         prob *= float(agent.table[s, a])
     return prob
 

@@ -37,9 +37,9 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     Permutation,
-    _joint_policy,
     _sup_distance,
     _table_logs,
+    joint_policy_from_rows,
 )
 from .soft_dp import (
     SoftQTable,
@@ -295,7 +295,7 @@ def haspi_step(
     """
     _check_argument("temperature", alpha, "alpha")
     arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
-    return _joint_policy(*_sequential_sweep(game, arrays, q, alpha, permutation.order))
+    return joint_policy_from_rows(_sequential_sweep(game, arrays, q, alpha, permutation.order)[0])
 
 
 def masac_step(
@@ -307,7 +307,7 @@ def masac_step(
     """Simultaneous variant: every agent updates against old teammates."""
     _check_argument("temperature", alpha, "alpha")
     arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
-    return _joint_policy(*_simultaneous_sweep(game, arrays, q, alpha))
+    return joint_policy_from_rows(_simultaneous_sweep(game, arrays, q, alpha)[0])
 
 
 # Traced iterates whose QRE residuals are computed together: enough to spread
@@ -401,7 +401,7 @@ def _policy_iteration_loop(
         flush()
     records.extend(_with_residuals(contracted, game.n_agents, alpha))
     trace = SolveTrace(iterations=records, status=status, sweeps=sweeps)
-    return _joint_policy(*arrays), SoftQTable(alpha, q), trace
+    return joint_policy_from_rows(arrays[0]), SoftQTable(alpha, q), trace
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:

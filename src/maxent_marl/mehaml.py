@@ -31,16 +31,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import SolveTrace, _boltzmann_rows, _check_argument
+from .common import SolveTrace, _boltzmann_rows, _check_argument, _check_index
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
-    _agent_policy,
-    _joint_policy,
     _kl_rows,
     _log_and_entropy,
     _policy_arrays,
+    joint_policy_from_rows,
 )
 from .haspi import (
     Arrays,
@@ -79,17 +78,18 @@ _BACKTRACK_FLOOR = 1e-12
 class DriftFunctional:
     """Penalty on a candidate row given the current joint policy.
 
-    Subclasses implement ``__call__``, the per-state definition: a valid
-    drift is non-negative, exactly zero when the candidate equals the
-    incumbent row, and flat to first order there. The updated-prefix
+    A valid drift is non-negative, exactly zero when the candidate equals
+    the incumbent row, and flat to first order there. The updated-prefix
     argument lets a drift condition on teammates that moved earlier in the
     sweep; the instances shipped here do not use it.
 
-    The line search reads drifts through :meth:`rows`, which takes the
-    solver's arrays, not policy objects: ``old`` is the old iterate's
-    :data:`maxent_marl.haspi.Arrays` (per agent, in id order, its table,
-    log table and entropy rows), ``new`` the sweep's arrays so far, and
-    ``prefix`` is ``(updated agents..., agent)``.
+    A drift has two forms, and a subclass defines either; the base class
+    derives the other. ``__call__`` is the per-state definition, on policy
+    objects. :meth:`rows`, which the line search reads, takes the solver's
+    arrays: ``old`` is the old iterate's :data:`maxent_marl.haspi.Arrays`
+    (per agent, in id order, its table, log table and entropy rows), ``new``
+    the sweep's arrays so far, and ``prefix`` is ``(updated agents...,
+    agent)``. The drifts shipped here define :meth:`rows` alone.
     """
 
     name = "base"
@@ -103,7 +103,11 @@ class DriftFunctional:
         state: int,
         updated_prefix: Sequence[AgentPolicy] = (),
     ) -> float:
-        raise NotImplementedError
+        """The drift of one candidate row at one state: the one-row case of :meth:`rows`."""
+        if type(self).rows is DriftFunctional.rows:
+            raise NotImplementedError(f"{type(self).__name__} defines neither __call__ nor rows")
+        arrays = _sweep_arrays(joint_policy, updated_prefix, agent)
+        return float(self.rows(game, *arrays, [candidate_row], [state])[0])
 
     def rows(self, game, old, new, prefix, candidate_rows, states):
         """The drift of agent ``prefix[-1]``'s ``candidate_rows[k]`` at state
@@ -111,13 +115,10 @@ class DriftFunctional:
 
         Returns shape (len(states),). This default builds the old joint
         policy and the prefix's new policies from the arrays and calls
-        ``__call__`` once per row, so a drift that implements only
-        ``__call__`` works with the line search. The drifts shipped here
-        compute all rows at once from the arrays, and their ``__call__`` is
-        the one-row case.
+        ``__call__`` once per row.
         """
-        joint_policy, agent = _joint_policy(*old), prefix[-1]
-        updated_prefix = [_agent_policy(i, *(a[i] for a in new)) for i in prefix[:-1]]
+        joint_policy, agent = joint_policy_from_rows(old[0]), prefix[-1]
+        updated_prefix = [AgentPolicy(i, new[0][i]) for i in prefix[:-1]]
         calls = zip(candidate_rows, states)
         values = [self(game, joint_policy, agent, row, int(s), updated_prefix) for row, s in calls]
         return np.array(values, dtype=np.float64)
@@ -138,10 +139,6 @@ class TrivialDrift(DriftFunctional):
 
     name = "trivial"
 
-    def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        arrays = _sweep_arrays(joint_policy, updated_prefix, agent)
-        return float(self.rows(game, *arrays, [candidate_row], [state])[0])
-
     def rows(self, game, old, new, prefix, candidate_rows, states):
         """Zero for every row."""
         return np.zeros(len(states))
@@ -158,10 +155,6 @@ class KlDrift(DriftFunctional):
         # Written so that NaN fails the test too.
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"KL drift coefficient must be finite and >= 0, got {self.beta}")
-
-    def __call__(self, game, joint_policy, agent, candidate_row, state, updated_prefix=()):
-        arrays = _sweep_arrays(joint_policy, updated_prefix, agent)
-        return float(self.rows(game, *arrays, [candidate_row], [state])[0])
 
     def rows(self, game, old, new, prefix, candidate_rows, states):
         """beta * KL against the incumbent's row at each state, from its log table."""
@@ -180,21 +173,27 @@ def trivial_drift() -> TrivialDrift:
 class NeighborhoodOperator:
     """Feasible region around an incumbent row; must contain it.
 
-    Subclasses implement ``contains``; the line search reads
-    neighborhoods through :meth:`contains_rows`.
+    A subclass defines ``contains``, the one-row test, or
+    :meth:`contains_rows`, which the line search reads; the base class
+    derives the other. The neighborhoods shipped here define
+    :meth:`contains_rows` alone.
     """
 
     name = "base"
 
     def contains(self, current_row: np.ndarray, candidate_row: np.ndarray) -> bool:
-        raise NotImplementedError
+        """Whether one candidate row is feasible: the one-row case of :meth:`contains_rows`."""
+        if type(self).contains_rows is NeighborhoodOperator.contains_rows:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither contains nor contains_rows"
+            )
+        return bool(self.contains_rows([current_row], [candidate_row])[0])
 
     def contains_rows(self, current_rows: np.ndarray, candidate_rows: np.ndarray) -> np.ndarray:
         """Whether ``candidate_rows[k]`` is feasible around ``current_rows[k]``, for every k.
 
         Returns a boolean array of shape (len(candidate_rows),). This
-        default calls ``contains`` once per pair. The neighborhoods shipped
-        here test all rows at once, and their ``contains`` is the one-row case.
+        default calls ``contains`` once per pair.
         """
         pairs = zip(current_rows, candidate_rows)
         return np.array([bool(self.contains(c, x)) for c, x in pairs], dtype=bool)
@@ -204,9 +203,6 @@ class FullNeighborhood(NeighborhoodOperator):
     """No constraint: the whole simplex is feasible."""
 
     name = "full"
-
-    def contains(self, current_row, candidate_row):
-        return bool(self.contains_rows([current_row], [candidate_row])[0])
 
     def contains_rows(self, current_rows, candidate_rows):
         """True for every row."""
@@ -223,9 +219,6 @@ class KlBall(NeighborhoodOperator):
     def __post_init__(self) -> None:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"KL ball radius must be finite and positive, got {self.radius}")
-
-    def contains(self, current_row, candidate_row):
-        return bool(self.contains_rows([current_row], [candidate_row])[0])
 
     def contains_rows(self, current_rows, candidate_rows):
         """A finite KL(candidate || current) of at most the radius, per row."""
@@ -277,6 +270,8 @@ class StateWeighting:
 
 
 def uniform_state_weighting(n_states: int) -> StateWeighting:
+    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
+        raise ValueError(f"a state weighting needs at least one state, got n_states={n_states!r}")
     return StateWeighting(np.full(n_states, 1.0 / n_states))
 
 
@@ -297,8 +292,7 @@ def mehamo_eval(
     action count, raises a ValueError.
     """
     coef = expected_conditional_q(game, q, joint_policy, updated_prefix, agent, alpha)
-    if not (isinstance(s, numbers.Integral) and 0 <= s < game.n_states):
-        raise ValueError(f"state must be an integer in [0, {game.n_states}), got s={s!r}")
+    s = _check_index("state", s, game.n_states, "s")
     cand, n = np.asarray(candidate_row, dtype=np.float64), game.action_counts[agent]
     if cand.shape != (n,):
         raise ValueError(f"agent {agent}'s candidate row must have shape ({n},), got {cand.shape}")

@@ -28,6 +28,7 @@ from .common import (
     IterationRecord,
     SolveTrace,
     _check_argument,
+    _check_index,
     _logit_responses,
     boltzmann_rows,
 )
@@ -35,12 +36,13 @@ from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
-    _joint_policy,
     _kl_rows,
     _log_and_entropy,
+    _policy_arrays,
     _sup_distance,
     _table_logs,
     joint_action_table,
+    joint_policy_from_rows,
     uniform_joint_policy,
 )
 from .soft_dp import (
@@ -52,7 +54,6 @@ from .soft_dp import (
     _evaluate_tables,
     _policy_value,
     _start,
-    _tables,
     maxent_return,
 )
 
@@ -123,7 +124,7 @@ def _logit_coefficients(game, joint_policy, agent, alpha, q):
         (tables, _logs, _entropies), q_values = _start(game, joint_policy, alpha)[:2]
     else:
         _check_evaluated(game, joint_policy, q, alpha)
-        tables, q_values = _tables(joint_policy), q.values
+        tables, q_values = _policy_arrays(joint_policy)[0], q.values
     if prefix is None:
         return tables, _agent_coefficients(game, tables, q_values)
     return tables, [_contract(game, tables, q_values, prefix)]
@@ -178,8 +179,8 @@ def qre_fixed_point(
     _check_argument("tolerance", tol, "tol")
     _check_argument("iteration cap", max_iters, "max_iters")
     jp = initial_joint_policy if initial_joint_policy is not None else uniform_joint_policy(game)
-    best, q, joint, bonus, _ = _start(game, jp, alpha)
-    tables, logs, entropies = best
+    (tables, _logs, entropies), q, joint, bonus, _ = _start(game, jp, alpha)
+    best = tables
     eye = np.eye(game.n_states)
     best_residual = np.inf
     records = [] if record_trace else None
@@ -205,7 +206,7 @@ def qre_fixed_point(
         iterations = k + 1
         recent.append(tables)
         if residual < best_residual:
-            best, best_residual = (tables, logs, entropies), residual
+            best, best_residual = tables, residual
             streaks = no_streaks
         else:
             # Only a run that has stopped improving can be cycling.
@@ -224,12 +225,12 @@ def qre_fixed_point(
         step = damping * residual
         # Finite rows (the residual above is finite), stochastic by construction.
         tables = [(1.0 - damping) * t + damping * rows for t, rows in zip(tables, responses)]
-        logs, entropies = zip(*map(_table_logs, tables))
+        entropies = [_table_logs(t)[1] for t in tables]
     trace = None
     if records is not None:
         trace = SolveTrace(iterations=records, status=status, sweeps=max(0, iterations - 1))
     return QreSolution(
-        joint_policy=_joint_policy(*best),
+        joint_policy=joint_policy_from_rows(best),
         residual=best_residual,
         iterations=iterations,
         damping=damping,
@@ -269,6 +270,7 @@ def joint_kl_objective(
     distribution is its per-agent product, enumerated exactly.
     """
     _check_evaluated(game, candidate_joint_policy, q_old, alpha)
+    s = _check_index("state", s, game.n_states, "s")
     target = boltzmann_rows(q_old.values[s], alpha)
     p = joint_action_table(candidate_joint_policy)[s]
     return float(_kl_rows(p, _log_and_entropy(target)[0]))
@@ -276,12 +278,8 @@ def joint_kl_objective(
 
 def _simplex_grid(n_actions: int, resolution: float) -> np.ndarray:
     """All distributions over n_actions with entries on a 1/m grid."""
-    m = max(1, round(1.0 / resolution))
-    rows = [
-        np.array(c, dtype=np.float64) / m
-        for c in _compositions(m, n_actions)
-    ]
-    return np.asarray(rows)
+    m = round(1.0 / resolution)
+    return np.array(list(_compositions(m, n_actions)), dtype=np.float64) / m
 
 
 def _compositions(total: int, parts: int):
@@ -307,6 +305,7 @@ def unilateral_deviation_gain(
     deviation helps (local policy improvement would otherwise find one),
     so at a QRE the gain is bounded by the grid-induced slack.
     """
+    _check_argument("grid resolution", grid_resolution, "grid_resolution")
     for count in game.action_counts:
         if count > _MAX_GRID_ACTIONS:
             raise ValueError(
@@ -336,5 +335,6 @@ def deviation_grid_slack(
     from some grid row; the return is Lipschitz in that row with constant
     of the order of the soft Q range, estimated here from the reward span.
     """
+    _check_argument("grid resolution", resolution, "resolution")
     q_range = float(np.abs(game.reward).max()) / max(1.0 - game.gamma, 1e-12)
     return (q_range + alpha) * resolution * max(game.action_counts)

@@ -24,7 +24,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -75,6 +75,18 @@ class EvaluationNotConverged(RuntimeError):
         self.residual = residual
 
 
+def _freeze_values(table, ndim: Optional[int] = None, what: str = "") -> None:
+    """Make a result table's ``values`` a read-only, C-ordered float64 array,
+    of ``ndim`` axes when given (else a ValueError naming ``what``), and its
+    ``alpha`` a float: the construction of every table class here."""
+    values = np.ascontiguousarray(np.asarray(table.values, dtype=np.float64))
+    if ndim is not None and values.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-d, got shape {values.shape}")
+    values.flags.writeable = False
+    object.__setattr__(table, "values", values)
+    object.__setattr__(table, "alpha", float(table.alpha))
+
+
 @dataclass(frozen=True, eq=False)
 class SoftQTable:
     """Entropy-regularized action values, shape (|S|, prod|A^i|)."""
@@ -83,12 +95,7 @@ class SoftQTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 2:
-            raise ValueError(f"soft Q table must be 2-d, got shape {values.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        _freeze_values(self, 2, "soft Q table")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +106,7 @@ class SoftValueTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 1:
-            raise ValueError(f"value table must be 1-d, got shape {values.shape}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        _freeze_values(self, 1, "value table")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +123,8 @@ class MultiAgentSoftQ:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _freeze_values(self)
         object.__setattr__(self, "prefix", tuple(int(i) for i in self.prefix))
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def zero_soft_q(game: CooperativeMarkovGame, alpha: float) -> SoftQTable:
@@ -386,10 +385,6 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
     return q, joint, bonus, backups
 
 
-def _tables(joint_policy: JointPolicy) -> list[np.ndarray]:
-    return [agent.table for agent in joint_policy.agents]
-
-
 def _check_prefix(game: CooperativeMarkovGame, prefix: Sequence[int]) -> tuple[int, ...]:
     """An ordered subset of the game's agents, as a tuple of their ids."""
     prefix = tuple(int(i) for i in prefix)
@@ -523,8 +518,8 @@ def _conditional_q(
     alpha: float,
 ) -> np.ndarray:
     """The values of :func:`multiagent_soft_q` for checked arguments."""
-    values = _contract(game, _tables(joint_policy), q_values, prefix)
-    return _with_entropy(_policy_arrays(joint_policy)[2], values, prefix, alpha)
+    tables, _logs, entropies = _policy_arrays(joint_policy)
+    return _with_entropy(entropies, _contract(game, tables, q_values, prefix), prefix, alpha)
 
 
 def _agent_coefficients(

@@ -84,6 +84,11 @@ class TestRandomGame:
         with pytest.raises(ValueError):
             random_game(7, 2, 3, [2, 0], -1.0, 1.0, 0.9)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=rf"non-negative integer, got seed={seed}"):
+            random_game(seed, 2, 3, [2, 2], -1.0, 1.0, 0.9)
+
     def test_reward_bounds_respected(self):
         game = random_game(3, 2, 2, [2, 3], -0.5, 2.5, 0.5)
         assert game.reward.min() >= -0.5

@@ -23,7 +23,9 @@ from maxent_marl import (
     full_neighborhood,
     haspi_solve,
     haspi_step,
+    joint_action_prob,
     joint_action_table,
+    joint_kl_objective,
     joint_policy_from_rows,
     kl_ball,
     kl_drift,
@@ -35,6 +37,7 @@ from maxent_marl import (
     mehaml_solve,
     multiagent_soft_q,
     new_matrix_game,
+    policy_entropy,
     qre_fixed_point,
     qre_residual,
     random_game,
@@ -54,7 +57,7 @@ from maxent_marl.haspi import (
     expected_conditional_q,
 )
 from maxent_marl.game_core import _policy_arrays
-from maxent_marl.soft_dp import _agent_coefficients, _contract, _evaluate_tables, _tables
+from maxent_marl.soft_dp import _agent_coefficients, _contract, _evaluate_tables
 from maxent_marl.mehaml import _mirror_rule
 from conftest import random_start, suite_game, suite_params
 
@@ -406,7 +409,7 @@ class TestSweepCoefficients:
         jp = random_start(game, k)
         q = evaluate_policy_exact(game, jp, alpha)
         checked = 0
-        for reuse in (None, _agent_coefficients(game, _tables(jp), q.values)):
+        for reuse in (None, _agent_coefficients(game, _policy_arrays(jp)[0], q.values)):
             for order in itertools.permutations(range(game.n_agents)):
                 for updated, agent, coef in sweep_coefficients(game, jp, q, alpha, order, reuse):
                     expected = expected_conditional_q(game, q, jp, updated, agent, alpha)
@@ -425,7 +428,7 @@ class TestSweepCoefficients:
         game, k, alpha = case
         jp = random_start(game, k)
         q = evaluate_policy_exact(game, jp, alpha)
-        for reuse in (None, _agent_coefficients(game, _tables(jp), q.values)):
+        for reuse in (None, _agent_coefficients(game, _policy_arrays(jp)[0], q.values)):
             seen = sweep_coefficients(game, jp, q, alpha, None, reuse)
             assert [agent for _u, agent, _c in seen] == list(range(game.n_agents))
             for updated, agent, coef in seen:
@@ -593,9 +596,9 @@ def test_batched_contraction_is_the_per_iterate_one_bit_for_bit():
     cases = 0
     for game, iterates in batch_cases():
         n = game.n_states
-        tables = [np.concatenate(t) for t in zip(*(_tables(jp) for jp, _ in iterates))]
+        tables = [np.concatenate(t) for t in zip(*(_policy_arrays(jp)[0] for jp, _ in iterates))]
         q_values = np.concatenate([q for _, q in iterates])
-        singles = [_agent_coefficients(game, _tables(jp), q) for jp, q in iterates]
+        singles = [_agent_coefficients(game, _policy_arrays(jp)[0], q) for jp, q in iterates]
         for i in range(game.n_agents):
             joined = _contract(game, tables, q_values, (i,))
             assert joined.shape == (len(iterates) * n, game.action_counts[i])
@@ -715,6 +718,39 @@ class TestBoundaryChecks:
         (jp, q, agent), message = self.violations()[violation]
         with pytest.raises(ValueError, match=message):
             boundary_calls()[function](self.game, jp, q, agent)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g, jp, q: policy_entropy(jp.agents[0], -1), "state must be.* got s=-1"),
+            (lambda g, jp, q: policy_entropy(jp.agents[1], 2), "state must be.* got s=2"),
+            (lambda g, jp, q: joint_kl_objective(g, q, jp, 1.0, -1), "state must be.*s=-1"),
+            (lambda g, jp, q: joint_kl_objective(g, q, jp, 1.0, 2), "state must be.*s=2"),
+            (lambda g, jp, q: joint_action_prob(jp, -1, (0, 0)), "state must be.*s=-1"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0,)), "not one action per agent"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0, 0, 0)), "not one action per agent"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0, -1)), r"joint_action\[1\]=-1"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0, 3)), r"in \[0, 3\).*joint_action\[1\]"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0.0, 0)), r"joint_action\[0\]=0.0"),
+        ],
+        ids=[
+            "entropy-negative-state", "entropy-state-past-end", "kl-negative-state",
+            "kl-state-past-end", "prob-negative-state", "prob-short-action",
+            "prob-long-action", "prob-negative-action", "prob-action-past-end",
+            "prob-float-action",
+        ],
+    )
+    def test_states_and_actions_named(self, call, message):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        with pytest.raises(ValueError, match=message):
+            call(self.game, jp, q)
+
+    @pytest.mark.parametrize("agent", [2, -1])
+    def test_surrogate_agent_named(self, agent):
+        game = new_matrix_game(np.eye(2))
+        with pytest.raises(ValueError, match=rf"prefix \({agent},\) is out of range"):
+            surrogate_coefficients(game, uniform_joint_policy(game), agent)
 
     def test_duplicate_agent_in_the_updated_prefix(self):
         jp = uniform_joint_policy(self.game)

@@ -35,6 +35,7 @@ from maxent_marl.mehaml import (
     NEIGHBORHOODS,
     DriftFunctional,
     KlDrift,
+    NeighborhoodOperator,
     StateWeighting,
     _kl_regularized_rows,
     _mirror_rule,
@@ -325,7 +326,7 @@ class TestWholeTableLineSearch:
             for agent in range(n_agents):
                 coef = expected_conditional_q(game, q, jp, updated, agent, alpha)
                 if isinstance(drift, KlDrift):
-                    log = jp.agents[agent]._log_table
+                    log = jp.agents[agent]._logs[0]
                     target = _kl_regularized_rows(coef, log, alpha, drift.beta)
                 else:
                     target = boltzmann_rows(coef, alpha)
@@ -358,6 +359,50 @@ class TestWholeTableLineSearch:
             got = hood.contains_rows(incumbent, rows)
             assert got.dtype == bool
             assert got.tolist() == [hood.contains(incumbent[s], rows[s]) for s in states]
+
+
+class TestOneFormExtensions:
+    """A subclass defines either form of a drift or a neighborhood; one that
+    defines neither is named by either form, and neither form recurses."""
+
+    def test_drift_defining_neither_form(self):
+        class Bare(DriftFunctional):
+            pass
+
+        game = suite_game(4, 2, 5, (2, 3), 0.5)
+        jp = random_start(game, 4)
+        arrays = _policy_arrays(jp)
+        row = jp.agents[1].table[0]
+        with pytest.raises(NotImplementedError, match="Bare defines neither __call__ nor rows"):
+            Bare()(game, jp, 1, row, 0)
+        with pytest.raises(NotImplementedError, match="Bare defines neither __call__ nor rows"):
+            Bare().rows(game, arrays, arrays, (1,), [row], [0])
+
+    def test_neighborhood_defining_neither_form(self):
+        class Bare(NeighborhoodOperator):
+            pass
+
+        row = np.array([0.5, 0.5])
+        message = "Bare defines neither contains nor contains_rows"
+        with pytest.raises(NotImplementedError, match=message):
+            Bare().contains(row, row)
+        with pytest.raises(NotImplementedError, match=message):
+            Bare().contains_rows([row], [row])
+
+    def test_a_rows_only_drift_and_a_contains_only_neighborhood(self):
+        class RowsOnly(DriftFunctional):
+            def rows(self, game, old, new, prefix, candidate_rows, states):
+                return np.asarray(states, dtype=np.float64)
+
+        class ContainsOnly(NeighborhoodOperator):
+            def contains(self, current_row, candidate_row):
+                return candidate_row[0] >= current_row[0]
+
+        game = suite_game(4, 2, 5, (2, 3), 0.5)
+        jp = random_start(game, 4)
+        assert RowsOnly()(game, jp, 0, jp.agents[0].table[3], 3) == 3.0
+        low, high = np.array([0.2, 0.8]), np.array([0.7, 0.3])
+        assert ContainsOnly().contains_rows([low, high], [high, low]).tolist() == [True, False]
 
 
 class TestDriftArguments:
@@ -486,6 +531,11 @@ class TestMehamlSolve:
             StateWeighting(np.array([0.5, 0.4]))
         w = uniform_state_weighting(4)
         assert np.allclose(w.weights, 0.25)
+
+    @pytest.mark.parametrize("n_states", [0, -1, 2.0])
+    def test_uniform_weighting_needs_a_state_count(self, n_states):
+        with pytest.raises(ValueError, match=f"at least one state, got n_states={n_states}"):
+            uniform_state_weighting(n_states)
 
     @pytest.mark.parametrize(
         "weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, -math.inf], [math.inf, 0.0]]

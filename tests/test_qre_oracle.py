@@ -306,6 +306,18 @@ class TestUnilateralDeviation:
         with pytest.raises(ValueError, match="at most 4"):
             unilateral_deviation_gain(game, jp, 1.0)
 
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, -0.5, 3.0, math.inf])
+    def test_unusable_resolution_named(self, matrix_game, start_policy, resolution):
+        with pytest.raises(ValueError, match=r"in \(0, 1\], got grid_resolution="):
+            unilateral_deviation_gain(matrix_game, start_policy, 1.0, grid_resolution=resolution)
+        with pytest.raises(ValueError, match=r"in \(0, 1\], got resolution="):
+            deviation_grid_slack(matrix_game, 1.0, resolution)
+
+    def test_coarsest_resolution_searches_the_vertices(self, matrix_game, start_policy):
+        # One grid cell per simplex: the vertices, as with m = 1 before.
+        assert unilateral_deviation_gain(matrix_game, start_policy, 1.0, grid_resolution=1.0) > 0
+        assert deviation_grid_slack(matrix_game, 1.0, 1.0) > 0
+
     def test_consistent_with_residual_on_multistate_game(self):
         game = suite_game(31, 2, 2, (2, 2), 0.5)
         jp = uniform_joint_policy(game)

@@ -281,7 +281,7 @@ def one_shot_conditional(game, jp, q_values, prefix, alpha):
     )
     tensor = q_values.reshape(game.n_states, *game.action_counts)
     values = np.einsum(subscripts, tensor, *(jp.agents[i].table for i in complement))
-    bonus = sum((jp.agents[i]._entropy_rows for i in complement), np.zeros(game.n_states))
+    bonus = sum((jp.agents[i]._logs[1] for i in complement), np.zeros(game.n_states))
     return values + alpha * bonus.reshape((-1,) + (1,) * len(prefix))
 
 
