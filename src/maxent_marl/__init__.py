@@ -46,8 +46,10 @@ from .haspi import (
     cyclic_order,
     fixed_order,
     haspi_solve,
+    haspi_solve_many,
     haspi_step,
     masac_solve,
+    masac_solve_many,
     masac_step,
     random_order,
 )

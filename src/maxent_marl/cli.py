@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import BaselineOptions, baseline_run
-from .common import SolveTrace
+from .common import IterationRecord, SolveTrace
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -49,7 +49,9 @@ from .haspi import (
     cyclic_order,
     fixed_order,
     haspi_solve,
+    haspi_solve_many,
     masac_solve,
+    masac_solve_many,
     random_order,
 )
 from .mehaml import DRIFTS, NEIGHBORHOODS, mehaml_solve
@@ -117,6 +119,27 @@ def _permutation_rule(spec: ExperimentSpec):
     return fixed_order(spec.permutation)
 
 
+def _haspi_options(spec: ExperimentSpec) -> HaspiOptions:
+    """The solve-loop options of a haspi, masac or mehaml spec."""
+    return HaspiOptions(
+        spec.alpha,
+        permutation_rule=_permutation_rule(spec),
+        record_trace=spec.record_trace,
+        **_given(
+            tol_policy=spec.tol_policy,
+            tol_eval=spec.tol_eval,
+            eval_method=spec.eval_method,
+            max_outer_iters=spec.max_iters,
+        ),
+    )
+
+
+def _final_record(options: HaspiOptions, trace: SolveTrace):
+    """The last record holds the returned policy's exact evaluation, if the
+    solve evaluated exactly: what :func:`_final_stats` would compute."""
+    return trace.iterations[-1] if options.record_trace and options.eval_method == "exact" else None
+
+
 def _given(**fields: object) -> dict[str, object]:
     """The fields a spec sets. The solver takes the others from its own
     defaults, and rejects a set value it cannot run, such as a falsy one."""
@@ -169,17 +192,7 @@ def _run_on_game(
     start = time.perf_counter()
 
     if spec.solver in ("haspi", "masac", "mehaml"):
-        options = HaspiOptions(
-            alpha,
-            permutation_rule=_permutation_rule(spec),
-            record_trace=spec.record_trace,
-            **_given(
-                tol_policy=spec.tol_policy,
-                tol_eval=spec.tol_eval,
-                eval_method=spec.eval_method,
-                max_outer_iters=spec.max_iters,
-            ),
-        )
+        options = _haspi_options(spec)
         if spec.solver == "mehaml":
             drift_cfg = dict(spec.drift or {"name": "trivial"})
             drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
@@ -191,10 +204,7 @@ def _run_on_game(
         else:
             solve = haspi_solve if spec.solver == "haspi" else masac_solve
             policy, _q, trace = solve(game, initial, options)
-        # The last record holds the returned policy's exact evaluation, if
-        # the solve evaluated exactly: what _final_stats would compute.
-        exact = options.record_trace and options.eval_method == "exact"
-        final_record = trace.iterations[-1] if exact else None
+        final_record = _final_record(options, trace)
     elif spec.solver == "qre-oracle":
         solution = qre_fixed_point(
             game,
@@ -222,15 +232,34 @@ def _run_on_game(
         trace = baseline_run(game, initial, options)
         policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
         final_record = None
+    seconds = time.perf_counter() - start
+    return _finished(spec, game, (policy, trace, final_record), seconds, out_dir, write)
 
+
+def _finished(
+    spec: ExperimentSpec,
+    game: CooperativeMarkovGame,
+    solved: tuple[JointPolicy, SolveTrace, Optional[IterationRecord]],
+    seconds: float,
+    out_dir: str | Path | None,
+    write: bool,
+) -> tuple[ResultRecord, list[str]]:
+    """The record of a solved spec, and its trace CSV and summary written
+    when ``write``: the part of :func:`_run_on_game` that a sweep's batched
+    branches share. ``solved`` holds the final policy, the trace and the
+    record that has the final statistics, if one has; ``seconds`` is the
+    solve's wall time, to which the time of the final statistics is added.
+    """
+    start = time.perf_counter()
+    policy, trace, final_record = solved
     if final_record is not None:
         final_return, final_residual = final_record.maxent_return, final_record.qre_residual
     else:  # a baseline spec has no alpha
-        final_return, final_residual = _final_stats(game, policy, alpha)
+        final_return, final_residual = _final_stats(game, policy, spec.alpha)
     record = ResultRecord(
         name=spec.name,
         solver=spec.solver,
-        alpha=alpha,
+        alpha=spec.alpha,
         seed=spec.seed,
         status=trace.status,
         iterations=trace.sweeps,
@@ -238,7 +267,7 @@ def _run_on_game(
         final_qre_residual=final_residual,
         final_policy=tuple(a.table.copy() for a in policy.agents),
         trace=trace,
-        wall_clock_seconds=time.perf_counter() - start,
+        wall_clock_seconds=seconds + (time.perf_counter() - start),
     )
     lines: list[str] = []
     if write:
@@ -258,7 +287,8 @@ def replicate_appendix_b(
     """Recompute the matrix-game temperature table and verify every cell.
 
     For each temperature: the first-sweep row of agent 1 and the
-    per-agent convergent row of the full sequential solve, each compared
+    per-agent convergent row of the full sequential solve (the six solves
+    run together, in one :func:`haspi_solve_many`), each compared
     against the reference values within 5e-4 (the references carry four
     decimals; the extra slack covers iterative convergence). Returns the
     table rows and a list of out-of-tolerance cell descriptions.
@@ -268,16 +298,16 @@ def replicate_appendix_b(
     initial = joint_policy_from_rows(start_rows)
     rows: list[dict[str, object]] = []
     mismatches: list[str] = []
-    for alpha in REPLICATION_ALPHAS:
+    options = [
+        HaspiOptions(
+            alpha=alpha, tol_policy=1e-12, permutation_rule=fixed_order((0, 1)), record_trace=False
+        )
+        for alpha in REPLICATION_ALPHAS
+    ]
+    solved = haspi_solve_many(game, [initial] * len(options), options)
+    for alpha, (policy, _q, _trace) in zip(REPLICATION_ALPHAS, solved):
         q = evaluate_policy_exact(game, initial, alpha)
         first = boltzmann_local_update(game, q, initial, [], 0, alpha).table[0]
-        options = HaspiOptions(
-            alpha=alpha,
-            tol_policy=1e-12,
-            permutation_rule=fixed_order((0, 1)),
-            record_trace=False,
-        )
-        policy, _q, _trace = haspi_solve(game, initial, options)
         convergent = [agent.table[0] for agent in policy.agents]
         ref_first, ref_conv = REFERENCE_TABLE[alpha]
         for j, (got, want) in enumerate(zip(first, ref_first)):
@@ -324,33 +354,46 @@ def sweep_alpha(
     is marked in its record, the rest of the sweep proceeds. Its status is
     "eval_max_iters" when its iterative evaluation hit the cap and
     "error" for any other failure.
+
+    The branches of a haspi or masac spec are solved together, in one
+    :func:`haspi_solve_many` or :func:`masac_solve_many`, with the bits
+    of their own solves. If that raises, every branch is solved on its
+    own, with its failure isolated as above. A batched branch's
+    ``wall_clock_seconds`` is the wall time of the whole batched solve,
+    which its branches share, plus that of its own final statistics.
     """
     if not spec.alphas:
         raise ValueError("sweep requires a non-empty 'alphas' list")
     target = _default_out_dir(str(out_dir) if out_dir else spec.out)
     records: list[ResultRecord] = []
     game = resolve_game(spec)
-    # Each branch's trace CSV with an alpha column in front.
-    combined = ["alpha," + trace_csv_header(game)]
-    for k, alpha in enumerate(spec.alphas):
-        branch_seed = int(np.random.SeedSequence(spec.seed, spawn_key=(k,)).generate_state(1)[0])
-        branch = dc_replace(
+    branches = [
+        dc_replace(
             spec,
             alpha=alpha,
             alphas=None,
-            seed=branch_seed,
+            seed=int(np.random.SeedSequence(spec.seed, spawn_key=(k,)).generate_state(1)[0]),
             name=f"{spec.name}_alpha{alpha:g}",
         )
+        for k, alpha in enumerate(spec.alphas)
+    ]
+    solved = _solved_together(game, branches) if spec.solver in ("haspi", "masac") else None
+    # Each branch's trace CSV with an alpha column in front.
+    combined = ["alpha," + trace_csv_header(game)]
+    for k, branch in enumerate(branches):
         lines: list[str] = []
         try:
-            record, lines = _run_on_game(branch, game, target, write)
+            if solved is None:
+                record, lines = _run_on_game(branch, game, target, write)
+            else:
+                record, lines = _finished(branch, game, *solved[k], target, write)
         except Exception as exc:  # isolate per-branch failures
             status = "eval_max_iters" if isinstance(exc, EvaluationNotConverged) else "error"
             record = ResultRecord(
                 name=branch.name,
                 solver=spec.solver,
-                alpha=alpha,
-                seed=branch_seed,
+                alpha=branch.alpha,
+                seed=branch.seed,
                 status=status,
                 iterations=0,
                 final_return=float("nan"),
@@ -360,7 +403,7 @@ def sweep_alpha(
                 error=str(exc),
             )
         records.append(record)
-        combined.extend(f"{float(alpha)!r},{line}" for line in lines[1:])
+        combined.extend(f"{float(branch.alpha)!r},{line}" for line in lines[1:])
     if write:
         atomic_write_text(
             target / f"{spec.name}_sweep.csv", "\r\n".join(combined) + "\r\n"
@@ -375,6 +418,25 @@ def sweep_alpha(
             json.dumps(summary, indent=2, sort_keys=True) + "\n",
         )
     return records
+
+
+def _solved_together(game: CooperativeMarkovGame, branches: list[ExperimentSpec]) -> Optional[list]:
+    """Each haspi or masac branch's ``(solved, seconds)`` for :func:`_finished`,
+    from one batched solve of all the branches; None if any of it raised,
+    so that the branches are solved one at a time instead."""
+    try:
+        initial = initial_policy_for(game, branches[0].initial_policy)
+        options = [_haspi_options(branch) for branch in branches]
+        solve_many = haspi_solve_many if branches[0].solver == "haspi" else masac_solve_many
+        start = time.perf_counter()
+        results = solve_many(game, [initial] * len(branches), options)
+        seconds = time.perf_counter() - start
+    except Exception:  # each branch's own solve reports its failure
+        return None
+    return [
+        ((policy, trace, _final_record(o, trace)), seconds)
+        for o, (policy, _q, trace) in zip(options, results)
+    ]
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:

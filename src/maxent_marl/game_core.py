@@ -78,6 +78,13 @@ class CooperativeMarkovGame:
         initial_dist: initial state distribution, shape (|S|,).
         n_joint_actions: prod|A^i|, set at construction.
         transition_norm: max_{s,a} sum_{s'} |P(s'|s,a)|, cached on first use.
+
+    Construction takes a reward, kernel or initial distribution that is
+    already a C-ordered float64 array as it is, without a copy, and makes
+    it read-only; any other input is converted into a new array first. A
+    caller that goes on writing to its own array passes a copy: copying
+    the kernel at every construction would double the memory a large game
+    takes while it is built.
     """
 
     n_agents: int

@@ -31,13 +31,13 @@ from .common import (
     _boltzmann_rows,
     _check_argument,
     _logit_responses,
+    _sup_norm,
 )
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
     Permutation,
-    _sup_distance,
     _table_logs,
     joint_policy_from_rows,
 )
@@ -46,6 +46,7 @@ from .soft_dp import (
     _agent_coefficients,
     _check_evaluated,
     _check_prefix,
+    _checked_arrays,
     _conditional_q,
     _contract,
     _evaluate_tables,
@@ -68,6 +69,8 @@ __all__ = [
     "masac_step",
     "haspi_solve",
     "masac_solve",
+    "haspi_solve_many",
+    "masac_solve_many",
 ]
 
 
@@ -131,7 +134,8 @@ class HaspiOptions:
     greedy limit is ill-defined under ties, so cold runs use small positive
     temperatures instead. ``eval_method`` picks the exact linear solve or
     fixed-point iteration at tolerance ``tol_eval`` for the evaluation
-    half-step.
+    half-step. ``permutation_rule`` must be a :class:`PermutationRule` and
+    ``record_trace`` a bool.
     """
 
     alpha: float
@@ -149,6 +153,13 @@ class HaspiOptions:
         if self.eval_method not in ("exact", "iterative"):
             raise ValueError(f"unknown eval_method {self.eval_method!r}")
         _check_argument("iteration cap", self.max_outer_iters, "max_outer_iters")
+        if not isinstance(self.permutation_rule, PermutationRule):
+            raise ValueError(
+                "permutation_rule must be a PermutationRule (fixed_order, random_order or "
+                f"cyclic_order), got permutation_rule={self.permutation_rule!r}"
+            )
+        if not isinstance(self.record_trace, bool):
+            raise ValueError(f"record_trace must be a bool, got record_trace={self.record_trace!r}")
 
 
 def expected_conditional_q(
@@ -165,7 +176,7 @@ def expected_conditional_q(
     averages the updated agents' axes under their new rows. Agents outside
     the prefix stay at their old policies through the conditional table.
     The sweeps compute the same coefficients in one contraction per agent
-    (:func:`_sweep_coefficients`); this chain is their reference.
+    (:func:`_sweep`); this chain is their reference.
     """
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     if agent in prefix_ids:
@@ -179,31 +190,18 @@ def expected_conditional_q(
 
 
 # A solver's iterate: per agent, in id order, the read-only policy table, its
-# log table and its entropy rows (see game_core._table_logs).
+# log table and its entropy rows (see game_core._table_logs). In a batch the
+# rows hold the states of every member, laid end to end.
 Arrays = tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]
-
-
-def _sweep_coefficients(game, old, mixed, q_values, prefix, alpha, reuse=None):
-    """The coefficients of :func:`expected_conditional_q` in one contraction.
-
-    ``mixed`` holds the tables of the updated agents ``prefix[:-1]`` and
-    the old tables of the rest. Averaging Q over all of them but the agent
-    ``prefix[-1]`` gives the chain's average, and the entropy bonus of the
-    ``old`` arrays is added back as the chain adds it. With no updated
-    agent, the contraction may be ``reuse``d from the trace's flush at this
-    iterate: it is the same, bit for bit.
-    """
-    agent = prefix[-1]
-    if reuse is not None and len(prefix) == 1:
-        values = reuse[agent]
-    else:
-        values = _contract(game, mixed, q_values, (agent,))
-    return _with_entropy(old[2], values, prefix, alpha)
 
 
 # (old arrays, the sweep's arrays so far, (updated agents..., agent),
 # coefficients, alpha) -> the agent's new table. The sweeps take the table
-# as it is, so a rule checks its rows finite.
+# as it is, so a rule checks its rows finite. In a batch of several members
+# the coefficients may be some of the arrays' rows, alpha a column of one
+# temperature per row, and the prefix that of one of the members whose rows
+# they are (see _sweep); a rule that reads the arrays or the prefix's order
+# runs a batch of one, as MEHAML's do.
 RowRule = Callable[[Arrays, Arrays, tuple[int, ...], np.ndarray, float], np.ndarray]
 
 
@@ -244,6 +242,99 @@ def _with_table(arrays: Arrays, agent: int, table: np.ndarray) -> None:
     arrays[0][agent], arrays[1][agent], arrays[2][agent] = table, log, rows
 
 
+def _sweep_coefficients(game, entropies, mixed, q_values, prefix, alpha, reuse=None):
+    """The coefficients of :func:`expected_conditional_q` in one contraction.
+
+    ``mixed`` holds the tables of the updated agents ``prefix[:-1]`` and
+    the old tables of the rest. Averaging Q over all of them but the agent
+    ``prefix[-1]`` gives the chain's average, and the old ``entropies``'
+    bonus is added back as the chain adds it. With no updated agent, the
+    contraction may be ``reuse``d from the trace's flush at this iterate:
+    it is the same, bit for bit. ``alpha`` is one temperature, or one per
+    row.
+    """
+    agent = prefix[-1]
+    if reuse is not None and len(prefix) == 1:
+        values = reuse[agent]
+    else:
+        values = _contract(game, mixed, q_values, (agent,))
+    return _with_entropy(entropies, values, prefix, alpha)
+
+
+def _sweep(
+    game: CooperativeMarkovGame,
+    old: Arrays,
+    q_values: np.ndarray,
+    alpha,
+    orders: Optional[list[tuple[int, ...]]],
+    rule: RowRule = _boltzmann_rule,
+    reuse: Optional[list[np.ndarray]] = None,
+) -> Arrays:
+    """One sweep of every member of a batch; (old, q_values) are checked.
+
+    ``orders`` holds each member's agent ordering for a sequential sweep,
+    in which an agent conditions on the agents updated before it, or is
+    None for the simultaneous one, in which every agent updates against the
+    old tables. ``alpha`` is the temperature, or one per row.
+
+    At each position the members are grouped by the agent they update and
+    the set of agents they updated before it (:func:`_groups`): they
+    average Q over the same agents' tables and add back the old entropy of
+    the same agents, so one contraction, one entropy bonus and one rule
+    call serve a group's rows, each member's with the bits of its own
+    sweep. When one group holds every member, as in a simultaneous sweep
+    or when the members share their ordering, it takes the arrays as they
+    are and its table goes in at once. Otherwise each group gathers its
+    rows, and as each member updates one agent per position, the groups'
+    tables go in at the position's end.
+    """
+    for order in orders or ():
+        if len(order) != game.n_agents:
+            raise ValueError(f"permutation {order} does not cover {game.n_agents} agents")
+    per_row = isinstance(alpha, np.ndarray)
+    column = alpha[:, None] if per_row else alpha
+    new = (list(old[0]), list(old[1]), list(old[2]))
+    mixed, rule_new = (old[0], old) if orders is None else (new[0], new)
+    shared = orders is None or orders.count(orders[0]) == len(orders)
+    for p in range(game.n_agents):
+        prefix = (p,) if orders is None else orders[0][: p + 1]
+        groups = None if shared else _groups(orders, p, game.n_states)
+        if groups is None:
+            coefficients = _sweep_coefficients(game, old[2], mixed, q_values, prefix, alpha, reuse)
+            _with_table(new, prefix[-1], rule(old, rule_new, prefix, coefficients, column))
+            continue
+        tables: dict[int, np.ndarray] = {}
+        for prefix, rows in groups:
+            agent = prefix[-1]
+            # The group's rows of what it reads; the rest is not read.
+            entropies = [e if i in prefix else e[rows] for i, e in enumerate(old[2])]
+            group_mixed = [t if i == agent else t[rows] for i, t in enumerate(mixed)]
+            group_reuse = None if reuse is None or p else [c[rows] for c in reuse]
+            coefficients = _sweep_coefficients(
+                game, entropies, group_mixed, q_values[rows], prefix,
+                alpha[rows] if per_row else alpha, group_reuse,
+            )
+            table = rule(old, rule_new, prefix, coefficients, column[rows] if per_row else alpha)
+            if agent not in tables:
+                tables[agent] = new[0][agent].copy()
+            tables[agent][rows] = table
+        for agent, table in tables.items():
+            _with_table(new, agent, table)
+    return new
+
+
+def _groups(orders: list[tuple[int, ...]], p: int, n_states: int):
+    """The members' groups at position ``p`` of their orderings, as
+    (prefix, the group's rows) pairs; None if one group holds them all."""
+    found: dict = {}
+    for j, order in enumerate(orders):
+        found.setdefault((order[p], frozenset(order[:p])), (order[: p + 1], []))[1].append(j)
+    if len(found) == 1:
+        return None
+    rows = np.arange(n_states)
+    return [(prefix, (np.array(group)[:, None] * n_states + rows).ravel()) for prefix, group in found.values()]
+
+
 def _sequential_sweep(
     game: CooperativeMarkovGame,
     old: Arrays,
@@ -254,14 +345,7 @@ def _sequential_sweep(
     reuse: Optional[list[np.ndarray]] = None,
 ) -> Arrays:
     """Update every agent along ``order``; (old, q_values) are checked."""
-    if len(order) != game.n_agents:
-        raise ValueError(f"permutation {order} does not cover {game.n_agents} agents")
-    new = (list(old[0]), list(old[1]), list(old[2]))
-    for m, agent in enumerate(order):
-        prefix = order[: m + 1]
-        coef = _sweep_coefficients(game, old, new[0], q_values, prefix, alpha, reuse)
-        _with_table(new, agent, rule(old, new, prefix, coef, alpha))
-    return new
+    return _sweep(game, old, q_values, alpha, [order], rule, reuse)
 
 
 def _simultaneous_sweep(
@@ -273,11 +357,7 @@ def _simultaneous_sweep(
     reuse: Optional[list[np.ndarray]] = None,
 ) -> Arrays:
     """Update every agent against the old tables; (old, q_values) are checked."""
-    new = (list(old[0]), list(old[1]), list(old[2]))
-    for i in range(game.n_agents):
-        coefficients = _sweep_coefficients(game, old, old[0], q_values, (i,), alpha, reuse)
-        _with_table(new, i, rule(old, old, (i,), coefficients, alpha))
-    return new
+    return _sweep(game, old, q_values, alpha, None, rule, reuse)
 
 
 def haspi_step(
@@ -320,93 +400,192 @@ _RESIDUAL_BATCH = 64
 _PENDING_Q_BYTES = 256 * 1024
 
 
+def _temperatures(alphas: list[float], n_states: int):
+    """The temperature of members laid end to end: one number if they share
+    it, else one per row. A row rule that takes some of the rows it is
+    given, as MEHAML's line search does, runs a batch of one and is handed
+    its one temperature."""
+    if len(set(alphas)) == 1:
+        return alphas[0]
+    return np.repeat(np.array(alphas, dtype=np.float64), n_states)
+
+
+def _member_rows(array: np.ndarray, members: np.ndarray, n_states: int) -> np.ndarray:
+    """The rows of the members at these positions of a batch, read-only."""
+    shape = array.shape[1:]
+    taken = array.reshape(-1, n_states, *shape)[members].reshape(-1, *shape)
+    taken.flags.writeable = False
+    return taken
+
+
+def _policy_changes(new: list[np.ndarray], old: list[np.ndarray], members: int) -> list[float]:
+    """Each member's sup-norm policy change over its agents, states and
+    actions: the agents' tables side by side hold a member's rows together."""
+    difference = np.concatenate(new, axis=1)
+    difference -= np.concatenate(old, axis=1)
+    return _sup_norm(difference.reshape(members, -1), axis=1).tolist()
+
+
 def _policy_iteration_loop(
     game: CooperativeMarkovGame,
-    initial_joint_policy: JointPolicy,
-    options: HaspiOptions,
+    starts: Sequence[JointPolicy],
+    options: Sequence[HaspiOptions],
     rule: RowRule = _boltzmann_rule,
     simultaneous: bool = False,
-) -> tuple[JointPolicy, SoftQTable, "SolveTrace"]:
+) -> list[tuple[JointPolicy, SoftQTable, SolveTrace]]:
     """Shared outer loop: evaluate, record, sweep, check policy movement.
 
     Shared between the sequential, simultaneous and generalized (drift)
     solvers so that trivially-configured variants are iterate-for-iterate
     identical under the same permutation seed. The loop's state is the
-    iterate's :data:`Arrays`; the start policy is checked once, and
-    policies are built for the result only.
+    iterate's :data:`Arrays`; the start policies are checked once, and
+    policies are built for the results only.
 
-    A traced iterate's record waits, as a tuple of its fields but the
-    residual and holding its read-only Q, until a flush contracts it
-    (:func:`_record_contractions`). A flush comes at ``_RESIDUAL_BATCH``
-    waiting records, or earlier when one more Q would take them past
-    ``_PENDING_Q_BYTES``. Every Q of a solve has the same size, so the
-    flush size is fixed per solve, and a flush always ends at the current
-    iterate: the next sweep reuses that iterate's one-agent contractions
-    for its agents with no prefix. After an iterate that did not flush,
-    the sweep contracts for itself, as in an untraced run, to the same
-    bits. The contracted records then wait for their residuals, up to
-    ``_RESIDUAL_BATCH`` of them, to share one softmax per agent
-    (:func:`_with_residuals`).
+    It solves a batch of members of one game, each from its own start
+    under its own options, and returns one (policy, Q, trace) per member,
+    each with the bits of the member's own solve. The members' states lie
+    end to end on the rows of the arrays, so an iterate makes one
+    evaluation and one sweep (:func:`_sweep`) for all of them. A member
+    leaves the batch when it converges or reaches its own iteration cap,
+    and the rows of the others are gathered then. The members may differ
+    in ``alpha``, ``permutation_rule``, ``tol_policy`` and
+    ``max_outer_iters``; ``eval_method``, ``tol_eval`` and
+    ``record_trace`` must agree. A batch of one runs the same code, on one
+    member's rows.
+
+    A traced iterate's record waits, as a tuple of its member and fields
+    but the residual and holding its read-only Q, until a flush
+    contracts it (:func:`_record_contractions`). A flush comes when one
+    more iterate's records would take the waiting ones past ``batch``:
+    ``_RESIDUAL_BATCH`` records, or fewer when their Q would pass
+    ``_PENDING_Q_BYTES``. Every member's Q has the same size, so ``batch``
+    is fixed per solve; a batch of more members than that flushes at every
+    iterate. A flush always ends at the current iterate: the next sweep
+    reuses that iterate's one-agent contractions for its agents with no
+    prefix. After an iterate that did not flush, the sweep contracts for
+    itself, as in an untraced run, to the same bits. The contracted
+    records then wait for their residuals, about ``_RESIDUAL_BATCH`` of
+    them, to share one softmax per agent (:func:`_with_residuals`).
     """
-    alpha = options.alpha
-    tol_eval = options.tol_eval if options.eval_method == "iterative" else None
-    arrays, q, joint, bonus, _ = _start(game, initial_joint_policy, alpha, tol_eval)
-    eye = np.eye(game.n_states)
-    sampler = options.permutation_rule.sampler(game.n_agents)
-    records: list[IterationRecord] = []
-    # Traced iterates: their record fields but the residual, and their soft Q.
+    if len(starts) != len(options):
+        raise ValueError(f"{len(starts)} start policies for {len(options)} options")
+    if not starts:
+        return []
+    first = options[0]
+    for name in ("eval_method", "tol_eval", "record_trace"):
+        if len(options) > 1 and any(getattr(o, name) != getattr(first, name) for o in options):
+            raise ValueError(f"the members of a batch must agree on {name}")
+    n_states = game.n_states
+    tol_eval = first.tol_eval if first.eval_method == "iterative" else None
+    alphas = [o.alpha for o in options]
+    checked = [_checked_arrays(game, s, a, tol_eval) for s, a in zip(starts, alphas)]
+    arrays = checked[0]
+    if len(checked) > 1:
+        arrays = tuple([_joined(rows) for rows in zip(*(c[f] for c in checked))] for f in range(3))
+    active = list(range(len(starts)))
+    alpha = _temperatures(alphas, n_states)
+    eye = np.eye(n_states)
+    q, joint, bonus, _ = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
+    # The active members' samplers, policy tolerances and iteration caps.
+    samplers = [o.permutation_rule.sampler(game.n_agents) for o in options]
+    tols = [o.tol_policy for o in options]
+    caps = [o.max_outer_iters for o in options]
+    records: list[list[IterationRecord]] = [[] for _ in starts]
+    # Traced iterates: their member and record fields but the residual, and
+    # their soft Q.
     pending: list[tuple[tuple, np.ndarray]] = []
     # Contracted flushes awaiting their residuals (see _record_contractions).
     contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]] = []
+    batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // (q.nbytes // len(active))))
 
-    def flush() -> list[np.ndarray]:
+    def residuals() -> None:
+        for member, record in _with_residuals(contracted, game.n_agents, alphas):
+            records[member].append(record)
+        contracted.clear()
+
+    def flush(n: int) -> list[np.ndarray]:
         contracted.append(_record_contractions(game, pending))
         pending.clear()
         coefficients = contracted[-1][2]
-        # Every flush but the last of a solve holds ``batch`` records.
-        if (len(contracted) + 1) * batch > _RESIDUAL_BATCH:
-            records.extend(_with_residuals(contracted, game.n_agents, alpha))
-            contracted.clear()
-        return [c[-game.n_states:] for c in coefficients]
+        if sum(len(fields) for fields, _, _ in contracted) + batch > _RESIDUAL_BATCH:
+            residuals()
+        return [c[-n * n_states :] for c in coefficients]
 
-    def snapshot(k, order, change) -> Optional[list[np.ndarray]]:
-        if not options.record_trace:
-            return None
+    def snapshot(k, orders, changes) -> Optional[list[np.ndarray]]:
         values = _policy_value(joint, q, bonus, alpha)
         values.flags.writeable = False
-        ret = float(game.initial_dist @ values)
-        pending.append(((k, order, change, ret, values, tuple(arrays[0])), q))
-        return flush() if len(pending) == batch else None
+        n = len(active)
+        for j, member in enumerate(active):
+            # A single member's record holds the arrays themselves.
+            member_values, member_q, tables = values, q, arrays[0]
+            if n > 1:
+                rows = slice(j * n_states, (j + 1) * n_states)
+                member_values, member_q, tables = values[rows], q[rows], [t[rows] for t in tables]
+            ret = float(game.initial_dist @ member_values)
+            order = None if orders is None else orders[j]
+            fields = (member, k, order, changes[j], ret, member_values, tuple(tables))
+            pending.append((fields, member_q))
+        return flush(n) if len(pending) + n > batch else None
 
-    batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // q.nbytes))
-    reuse = snapshot(0, None, 0.0)
-    status = "max_iters"
-    sweeps = 0
-    for k in range(1, options.max_outer_iters + 1):
-        sweeps = k
-        if simultaneous:
-            order = None
-            new = _simultaneous_sweep(game, arrays, q, alpha, rule, reuse)
-        else:
-            order = sampler(k - 1)
-            new = _sequential_sweep(game, arrays, q, alpha, order, rule, reuse)
-        change = _sup_distance(new[0], arrays[0])
+    record_trace = first.record_trace
+    reuse = snapshot(0, None, [0.0] * len(active)) if record_trace else None
+    results: list = [None] * len(starts)
+    k = 0
+    while True:
+        k += 1
+        orders = None
+        if not simultaneous:
+            # Loops, not comprehensions: a comprehension is a function call.
+            orders = []
+            for sampler in samplers:
+                orders.append(sampler(k - 1))
+        new = _sweep(game, arrays, q, alpha, orders, rule, reuse)
+        changes = _policy_changes(new[0], arrays[0], len(active))
         arrays = new
         q, joint, bonus, _ = _evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol_eval)
-        reuse = snapshot(k, order, change)
-        if change < options.tol_policy:
-            status = "converged"
+        if record_trace:
+            reuse = snapshot(k, orders, changes)
+        stops = []
+        for j, change in enumerate(changes):
+            if change < tols[j] or k == caps[j]:
+                stops.append(j)
+        if not stops:
+            continue
+        for j in stops:
+            status = "converged" if changes[j] < tols[j] else "max_iters"
+            rows = slice(j * n_states, (j + 1) * n_states)
+            results[active[j]] = ([t[rows] for t in arrays[0]], q[rows], status, k)
+        if len(stops) == len(active):
             break
+        keep = [j for j in range(len(active)) if j not in stops]
+        active, samplers, tols, caps = ([x[j] for j in keep] for x in (active, samplers, tols, caps))
+        rows = np.array(keep)
+        arrays = tuple([_member_rows(a, rows, n_states) for a in f] for f in arrays)
+        q, joint, bonus = (_member_rows(a, rows, n_states) for a in (q, joint, bonus))
+        if reuse is not None:
+            reuse = [_member_rows(c, rows, n_states) for c in reuse]
+        alpha = _temperatures([alphas[member] for member in active], n_states)
     if pending:
-        flush()
-    records.extend(_with_residuals(contracted, game.n_agents, alpha))
-    trace = SolveTrace(iterations=records, status=status, sweeps=sweeps)
-    return joint_policy_from_rows(arrays[0]), SoftQTable(alpha, q), trace
+        flush(0)
+    residuals()
+    return [
+        (
+            joint_policy_from_rows(tables),
+            SoftQTable(alphas[member], member_q),
+            SolveTrace(iterations=records[member], status=status, sweeps=sweeps),
+        )
+        for member, (tables, member_q, status, sweeps) in enumerate(results)
+    ]
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated on their first axis; a single one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    """The arrays concatenated on their first axis, read-only; a single one
+    as it is."""
+    if len(arrays) == 1:
+        return arrays[0]
+    joined = np.concatenate(arrays)
+    joined.flags.writeable = False
+    return joined
 
 
 def _record_contractions(
@@ -428,10 +607,11 @@ def _record_contractions(
 def _with_residuals(
     contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]],
     n_agents: int,
-    alpha: float,
-) -> list[IterationRecord]:
-    """The records of the contracted flushes, each QRE residual from one
-    softmax per agent over all of them."""
+    alphas: list[float],
+) -> list[tuple[int, IterationRecord]]:
+    """The records of the contracted flushes with their members, each QRE
+    residual from one softmax per agent over all of them, at its member's
+    temperature in ``alphas``."""
     if not contracted:
         return []
     fields = [f for chunk, _, _ in contracted for f in chunk]
@@ -442,10 +622,15 @@ def _with_residuals(
 
     tables = [stacked([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
     coefficients = [stacked([c[i] for _, _, c in contracted]) for i in range(n_agents)]
+    temperatures = [alphas[f[0]] for f in fields]
+    if len(set(temperatures)) == 1:
+        alpha = temperatures[0]
+    else:
+        alpha = np.array(temperatures)[:, None, None]
     residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
     return [
-        IterationRecord(k, order, change, ret, values, residual, policies)
-        for (k, order, change, ret, values, policies), residual in zip(fields, residuals)
+        (member, IterationRecord(k, order, change, ret, values, residual, policies))
+        for (member, k, order, change, ret, values, policies), residual in zip(fields, residuals)
     ]
 
 
@@ -462,7 +647,7 @@ def haspi_solve(
     trace records the entropy-regularized return, per-state values, QRE
     residual, permutation and policy snapshot of every iterate.
     """
-    return _policy_iteration_loop(game, initial_joint_policy, options)
+    return _policy_iteration_loop(game, [initial_joint_policy], [options])[0]
 
 
 def masac_solve(
@@ -471,4 +656,32 @@ def masac_solve(
     options: HaspiOptions,
 ) -> tuple[JointPolicy, SoftQTable, SolveTrace]:
     """Outer loop around the simultaneous sweep; no permutation involved."""
-    return _policy_iteration_loop(game, initial_joint_policy, options, simultaneous=True)
+    return _policy_iteration_loop(game, [initial_joint_policy], [options], simultaneous=True)[0]
+
+
+def haspi_solve_many(
+    game: CooperativeMarkovGame,
+    starts: Sequence[JointPolicy],
+    options: Sequence[HaspiOptions],
+) -> list[tuple[JointPolicy, SoftQTable, SolveTrace]]:
+    """:func:`haspi_solve` of every (start, options) pair of one game at once.
+
+    The members are solved together, one evaluation and one sweep per
+    iterate for all of them, and each result is bit for bit the one
+    :func:`haspi_solve` returns for its pair. The members may differ in
+    ``alpha``, ``permutation_rule``, ``tol_policy`` and
+    ``max_outer_iters``; a ValueError names ``eval_method``, ``tol_eval``
+    or ``record_trace`` if they differ there. An error in any member
+    raises and ends the whole batch.
+    """
+    return _policy_iteration_loop(game, starts, options)
+
+
+def masac_solve_many(
+    game: CooperativeMarkovGame,
+    starts: Sequence[JointPolicy],
+    options: Sequence[HaspiOptions],
+) -> list[tuple[JointPolicy, SoftQTable, SolveTrace]]:
+    """:func:`masac_solve` of every (start, options) pair of one game at
+    once, as :func:`haspi_solve_many` does for :func:`haspi_solve`."""
+    return _policy_iteration_loop(game, starts, options, simultaneous=True)

@@ -429,7 +429,7 @@ def mehaml_solve(
     if state_weighting is not None and state_weighting.weights.shape != (game.n_states,):
         raise ValueError("state weighting length does not match the game")
     rule = _mirror_rule(game, drift, neighborhood, mode)
-    jp, _q, trace = _policy_iteration_loop(game, initial_joint_policy, options, rule)
+    jp, _q, trace = _policy_iteration_loop(game, [initial_joint_policy], [options], rule)[0]
     return jp, trace
 
 

@@ -78,8 +78,17 @@ class EvaluationNotConverged(RuntimeError):
 def _freeze_values(table, ndim: Optional[int] = None, what: str = "") -> None:
     """Make a result table's ``values`` a read-only, C-ordered float64 array,
     of ``ndim`` axes when given (else a ValueError naming ``what``), and its
-    ``alpha`` a float: the construction of every table class here."""
-    values = np.ascontiguousarray(np.asarray(table.values, dtype=np.float64))
+    ``alpha`` a float: the construction of every table class here.
+
+    A writeable input is copied, so the caller's array stays writeable. A
+    read-only one, such as every table the solvers make, is taken as it is
+    when it already is C-ordered float64.
+    """
+    values = table.values
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+    else:
+        values = np.array(values, dtype=np.float64, order="C")
     if ndim is not None and values.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-d, got shape {values.shape}")
     values.flags.writeable = False
@@ -163,12 +172,12 @@ def _policy_value(
 ) -> np.ndarray:
     """V(s) from the joint table, the soft Q values and the entropy bonus.
 
-    The average over the joint table is a batched matmul. For a finite Q,
-    such as an evaluation's, it cannot warn; :func:`soft_value` silences
-    it for a Q the caller supplied, as in :func:`_policy_averages`.
+    The average over the joint table is one dot product per row
+    (``np.vecdot``). For a finite Q, such as an evaluation's, it cannot
+    warn; :func:`soft_value` silences it for a Q the caller supplied, as
+    in :func:`_policy_averages`.
     """
-    average = (joint[:, None, :] @ q_values[:, :, None])[:, 0, 0]
-    return average + alpha * bonus
+    return np.vecdot(joint, q_values) + alpha * bonus
 
 
 def _policy_averages(
@@ -176,34 +185,43 @@ def _policy_averages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """rbar(s) = sum_a pi(a|s) r(s, a) and M(s, s') = sum_a pi(a|s) P(s'|s, a).
 
-    Both are batched matmuls, one (1 x A) @ (A x k) product per state, so
-    they run in BLAS. An infinite or NaN entry at an action of probability
-    zero gives 0 * inf = NaN there. matmul warns about that, and about an
-    overflowing sum, where einsum was silent; for a game without finite
-    row sums the warnings are silenced, and the NaN or inf fails the
-    bound of :func:`evaluate_policy_exact`. A game with them cannot warn
-    and runs the bare matmuls.
+    ``joint`` is one joint table, shape (|S|, |A|), or the tables of
+    several members stacked on a leading axis; rbar and M take the same
+    leading axes.
+
+    Both are one vector-matrix product per member and state (``np.vecdot``
+    and ``np.vecmat``), so they run in BLAS, each member with the bits of
+    its own call. An infinite or NaN entry at an action of probability
+    zero gives 0 * inf = NaN there. The products warn about that, and
+    about an overflowing sum, where einsum was silent; for a game without
+    finite row sums the warnings are silenced, and the NaN or inf fails
+    the bound of :func:`evaluate_policy_exact`. A game with them cannot
+    warn and runs the bare products.
     """
-    rows = joint[:, None, :]
     quiet = nullcontext() if game._finite_rows else np.errstate(invalid="ignore", over="ignore")
     with quiet:
-        rbar = (rows @ game.reward[:, :, None])[:, 0, 0]
-        m = (rows @ game.transition)[:, 0, :]
-    return rbar, m
+        return np.vecdot(joint, game.reward), np.vecmat(joint, game.transition)
 
 
 def _backup(game: CooperativeMarkovGame, v: np.ndarray) -> np.ndarray:
-    """r(s, a) + gamma * E_{s'~P}[V(s')], built in the array P v makes."""
-    q = game.transition @ v
+    """r(s, a) + gamma * E_{s'~P}[V(s')], built in the array P v makes.
+
+    ``v`` holds the values of one member, or of several, stacked or laid
+    end to end, and the result's rows hold their Q laid end to end. P v is
+    one matrix-vector product per member and state (``np.matvec``), each
+    member with the bits of ``P @ v`` for its own v.
+    """
+    q = np.matvec(game.transition, v.reshape(-1, 1, game.n_states))
     q *= game.gamma
     q += game.reward
-    return q
+    return q.reshape(-1, game.n_joint_actions)
 
 
 def _singular(_error: str, _flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """v with lhs v = rhs: LAPACK's gesv through the gufunc that
     ``np.linalg.solve`` calls for a vector right-hand side, with its bits,
@@ -212,11 +230,11 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     The gufunc flags a singular matrix as an invalid floating-point
     operation; the error state turns that into ``LinAlgError``, as
-    ``np.linalg.solve`` does. A fresh ``np.errstate`` per call: numpy
-    refuses to enter one instance twice.
+    ``np.linalg.solve`` does. As a decorator, ``np.errstate`` sets that
+    state around each call without building and entering a context
+    manager per call, which costs about a microsecond more.
     """
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve1(lhs, rhs, signature="dd->d")
+    return _umath_linalg.solve1(lhs, rhs, signature="dd->d")
 
 
 def soft_value(
@@ -266,29 +284,38 @@ def evaluate_policy_iterative(
     :class:`EvaluationNotConverged` if ``max_iters`` is exhausted first.
     """
     _arrays, q, _joint, _bonus, backups = _start(game, joint_policy, alpha, tol, max_iters)
-    return SoftQTable(alpha, q), backups
+    return SoftQTable(alpha, q), backups[0]
 
 
-def _iterated_q(game, joint, bonus, alpha, tol, max_iters) -> tuple[np.ndarray, int]:
-    """:func:`evaluate_policy_iterative` on a policy's joint table and
-    entropy bonus; returns Q and the number of backups."""
+def _iterated_q(game, joint, bonus, alpha, tol, max_iters) -> tuple[np.ndarray, list[int]]:
+    """:func:`evaluate_policy_iterative` on the joint tables and entropy
+    bonuses of members laid end to end on the rows, at one temperature or
+    one per row; returns Q and each member's number of backups.
+
+    Each member stops at its own threshold, with the Q and the count of its
+    own run: the rows of a member that stopped keep its Q from then on.
+    """
+    members = joint.shape[0] // game.n_states
 
     def backup(q_values: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
             return _backup(game, _policy_value(joint, q_values, bonus, alpha))
 
-    q = np.zeros((game.n_states, game.n_joint_actions))
+    q = np.zeros(joint.shape)
     if game.gamma == 0.0:
-        return backup(q), 1
+        return backup(q), [1] * members
     threshold = tol * min(1.0, (1.0 - game.gamma) / game.gamma)
-    residual = np.inf
+    backups = np.zeros(members, dtype=int)
     for k in range(1, max_iters + 1):
-        q_next = backup(q)
-        residual = float(_sup_norm(q_next - q))
-        q = q_next
-        if residual < threshold:
-            return q, k
-    raise EvaluationNotConverged(max_iters, residual)
+        q_next = backup(q).reshape(members, -1)
+        residuals = _sup_norm(q_next - q.reshape(members, -1), axis=1)
+        stopped = backups > 0
+        q_next[stopped] = q.reshape(members, -1)[stopped]
+        backups[~stopped & (residuals < threshold)] = k
+        q = q_next.reshape(joint.shape)
+        if backups.all():
+            return q, backups.tolist()
+    raise EvaluationNotConverged(max_iters, float(residuals[backups == 0][0]))
 
 
 def evaluate_policy_exact(
@@ -322,15 +349,21 @@ def evaluate_policy_exact(
 
 
 def _start(game, joint_policy, alpha, tol=None, max_iters=_MAX_BACKUPS):
-    """The start of every public evaluation and of every solve: the
-    policy's arrays (:func:`~maxent_marl.game_core._policy_arrays`) and
-    what :func:`_evaluate_tables` makes of them, exact or, given ``tol``,
-    iterative.
+    """The start of every public evaluation: the policy's checked arrays
+    (:func:`_checked_arrays`) and what :func:`_evaluate_tables` makes of
+    them, exact or, given ``tol``, iterative."""
+    arrays = _checked_arrays(game, joint_policy, alpha, tol, max_iters)
+    eye = np.eye(game.n_states)
+    return (arrays, *_evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol, max_iters))
+
+
+def _checked_arrays(game, joint_policy, alpha, tol=None, max_iters=_MAX_BACKUPS):
+    """A start policy's arrays (:func:`~maxent_marl.game_core._policy_arrays`).
 
     The temperature, an iterative evaluation's tolerance and cap, the
-    game's discount and the policy are checked here, once, before
-    anything is evaluated: every later iterate of a solve has the same
-    shapes.
+    game's discount and the policy are checked here, once per evaluation
+    or per member of a solve, before anything is evaluated: every later
+    iterate of a solve has the same shapes.
     """
     _check_argument("evaluation temperature", alpha, "alpha")
     if tol is not None:
@@ -340,9 +373,7 @@ def _start(game, joint_policy, alpha, tol=None, max_iters=_MAX_BACKUPS):
         method = "exact" if tol is None else "iterative"
         raise ValueError(f"{method} evaluation requires gamma < 1")
     _check_policy(game, joint_policy)
-    arrays = _policy_arrays(joint_policy)
-    eye = np.eye(game.n_states)
-    return (arrays, *_evaluate_tables(game, arrays[0], arrays[2], alpha, eye, tol, max_iters))
+    return _policy_arrays(joint_policy)
 
 
 def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_iters=_MAX_BACKUPS):
@@ -355,16 +386,27 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
     identity of the game's state count, built once per solve. Exact,
     under the bound of :func:`evaluate_policy_exact` and with no backup,
     or, given ``tol_eval``, iterative as :func:`evaluate_policy_iterative`.
+
+    The rows may hold several members of a batch laid end to end, each
+    with the game's state count of rows, and ``alpha`` may then be one
+    temperature per row. Each member's Q has the bits of its own call, and
+    the backups come as a list with one count per member. The exact
+    evaluation checks one residual bound, the largest member's, for all.
     """
     joint = _joint_table(tables)
     bonus = _entropy_bonus(entropies)
-    backups = 0
+    members = joint.shape[0] // game.n_states
     if tol_eval is not None:
         q, backups = _iterated_q(game, joint, bonus, alpha, tol_eval, max_iters)
     else:
-        rbar, m = _policy_averages(game, joint)
+        # Several members' joint tables stack on a leading axis. One
+        # member's stays 2-d: the same calls on it take 1-2 us less per
+        # evaluation at the suite's shapes of 2-5 states (one thread of a
+        # shared 2-vCPU x86-64 VM), with the same bits.
+        stacked = joint if members == 1 else joint.reshape(members, game.n_states, -1)
+        rbar, m = _policy_averages(game, stacked)
         lhs = eye - game.gamma * m
-        rhs = rbar + alpha * bonus
+        rhs = rbar + (alpha * bonus).reshape(rbar.shape)
         try:
             v = _solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
@@ -372,7 +414,7 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
             # such as rows summing to 1 / gamma: validate_game rejects it,
             # the solvers take the game as given.
             raise RuntimeError(f"evaluation system is singular: {exc}") from exc
-        error = lhs @ v
+        error = np.matvec(lhs, v)
         error -= rhs
         bound = game.gamma * game.transition_norm * float(_sup_norm(error))
         # Written so that a NaN bound fails the test too.
@@ -381,6 +423,7 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
                 f"exact evaluation residual {bound:.3e} exceeds {_EXACT_RESIDUAL_TOL}"
             )
         q = _backup(game, v)
+        backups = [0] * members
     q.flags.writeable = False
     return q, joint, bonus, backups
 
@@ -498,12 +541,13 @@ def _with_entropy(
 
     ``entropies`` holds every agent's entropy rows. ``values`` has a state
     axis first; the bonus is constant along the others, which may be fewer
-    than the prefix has agents.
+    than the prefix has agents. ``alpha`` is one temperature or one per
+    row.
     """
     complement = [entropies[i] for i in range(len(entropies)) if i not in prefix]
     if complement:
-        bonus = _entropy_bonus(complement)
-        values = values + alpha * bonus.reshape((-1,) + (1,) * (values.ndim - 1))
+        bonus = alpha * _entropy_bonus(complement)
+        values = values + bonus.reshape((-1,) + (1,) * (values.ndim - 1))
     # With the full prefix the einsum result is a transposed view. Callers
     # average over its axes, and in that memory order the sums would round
     # differently, so hand back the C layout.

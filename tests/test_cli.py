@@ -484,16 +484,27 @@ class TestCliInterface:
     def test_sweep_branch_evaluation_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         # One branch's evaluation hits its cap and another fails otherwise;
         # the sweep goes on, and exits 2 as solve does for the capped branch.
-        solve = cli.haspi_solve
+        # The failures reach the batched solve of the branches, which then
+        # fails as a whole, and each branch's own solve.
+        solve, solve_many = cli.haspi_solve, cli.haspi_solve_many
 
-        def failing(game, start, options):
+        def fail(options):
             if options.alpha == 1.0:
                 raise EvaluationNotConverged(100_000, 3e-3)
             if options.alpha == 2.0:
                 raise RuntimeError("boom")
+
+        def failing(game, start, options):
+            fail(options)
             return solve(game, start, options)
 
+        def failing_many(game, starts, options):
+            for member in options:
+                fail(member)
+            return solve_many(game, starts, options)
+
         monkeypatch.setattr(cli, "haspi_solve", failing)
+        monkeypatch.setattr(cli, "haspi_solve_many", failing_many)
         spec = {**HASPI_SPEC, "alpha": None, "alphas": [1.0, 2.0, 10.0], "name": "sw"}
         path = write_json(tmp_path / "sw.json", spec)
         assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
@@ -797,3 +808,78 @@ class TestReplication:
 
     def test_cli_entry(self, capsys):
         assert main(["replicate-appendix-b", "--quiet"]) == EXIT_OK
+
+
+def branch_outputs(directory, name, alphas):
+    """Each branch's trace CSV bytes and summary (without its wall clock),
+    and its rows of the sweep's combined CSV."""
+    combined = (directory / f"{name}_sweep.csv").read_bytes().split(b"\r\n")
+    outputs = {}
+    for alpha in alphas:
+        summary = json.loads((directory / f"{name}_alpha{alpha:g}_summary.json").read_bytes())
+        del summary["wall_clock_seconds"]
+        rows = [row for row in combined if row.startswith(repr(alpha).encode() + b",")]
+        trace = (directory / f"{name}_alpha{alpha:g}_trace.csv").read_bytes()
+        outputs[alpha] = (trace, summary, rows)
+    return outputs
+
+
+class TestBatchedSweeps:
+    """sweep-alpha over haspi or masac, and replicate-appendix-b, solve their
+    temperatures in one batched call; a failing batch falls back to one
+    solve per branch."""
+
+    SPEC = {
+        "game": {"matrix": [[2.0, 0.0, -1.0], [0.0, 1.0, 0.5], [-1.0, 0.5, 3.0]]},
+        "initial_policy": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],
+        "alphas": [1.0, 2.0, 5.0],
+        "seed": 11,
+        "name": "b",
+    }
+
+    def solves(self, monkeypatch, fail_alpha=None):
+        """Record the batched and the single solves the CLI makes; the batch,
+        and the single solve at ``fail_alpha``, raise."""
+        calls = {"many": [], "single": []}
+        for name, key in (("haspi_solve_many", "many"), ("masac_solve_many", "many"),
+                          ("haspi_solve", "single"), ("masac_solve", "single")):
+            function = getattr(cli, name)
+
+            def solve(game, start, options, function=function, key=key):
+                members = options if key == "many" else [options]
+                calls[key].append([o.alpha for o in members])
+                if fail_alpha in [o.alpha for o in members]:
+                    raise RuntimeError("boom")
+                return function(game, start, options)
+
+            monkeypatch.setattr(cli, name, solve)
+        return calls
+
+    @pytest.mark.parametrize("solver", ["haspi", "masac"])
+    def test_one_batched_call(self, solver, tmp_path, monkeypatch):
+        calls = self.solves(monkeypatch)
+        path = write_json(tmp_path / "b.json", {**self.SPEC, "solver": solver})
+        assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert calls == {"many": [self.SPEC["alphas"]], "single": []}
+
+    def test_replication_makes_one_batched_call(self, monkeypatch):
+        calls = self.solves(monkeypatch)
+        _rows, mismatches = replicate_appendix_b()
+        assert mismatches == []
+        assert calls == {"many": [list(cli.REPLICATION_ALPHAS)], "single": []}
+
+    @pytest.mark.parametrize("solver", ["haspi", "masac"])
+    def test_a_failed_batch_writes_the_same_branches(self, solver, tmp_path, monkeypatch):
+        spec = {**self.SPEC, "solver": solver}
+        alphas = spec["alphas"]
+        whole, failed = tmp_path / "whole", tmp_path / "failed"
+        assert main(["sweep-alpha", write_json(tmp_path / "b.json", spec),
+                     "--out", str(whole), "--quiet"]) == EXIT_OK
+        calls = self.solves(monkeypatch, fail_alpha=2.0)
+        assert main(["sweep-alpha", write_json(tmp_path / "b.json", spec),
+                     "--out", str(failed), "--quiet"]) == EXIT_INVALID
+        assert calls == {"many": [alphas], "single": [[alpha] for alpha in alphas]}
+        statuses = json.loads((failed / "b_sweep_summary.json").read_text())["statuses"]
+        assert statuses == {"1": "converged", "2": "error", "5": "converged"}
+        succeeded = [alpha for alpha in alphas if alpha != 2.0]
+        assert branch_outputs(failed, "b", succeeded) == branch_outputs(whole, "b", succeeded)

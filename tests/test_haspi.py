@@ -1024,3 +1024,27 @@ def test_the_evaluation_kernel_is_the_public_evaluation_bit_for_bit():
         assert q.tobytes() == evaluate_policy_exact(game, jp, alpha).values.tobytes()
         assert joint.tobytes() == joint_action_table(jp).tobytes()
         assert bonus.tobytes() == jp.entropy_bonus.tobytes()
+
+
+class TestHaspiOptionChecks:
+    """A permutation rule or trace flag of the wrong kind is named when the
+    options are built, not deep inside a solve (a batch's options too)."""
+
+    @pytest.mark.parametrize("rule", ["random", None, 0, ("fixed", (0, 1))], ids=repr)
+    def test_permutation_rule_must_be_a_rule(self, rule):
+        with pytest.raises(ValueError, match=r"permutation_rule must be a PermutationRule"):
+            HaspiOptions(alpha=1.0, permutation_rule=rule)
+
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, np.bool_(True)], ids=repr)
+    def test_record_trace_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match=re.escape(f"record_trace must be a bool, got record_trace={flag!r}")):
+            HaspiOptions(alpha=1.0, record_trace=flag)
+
+    @pytest.mark.parametrize("rule", [fixed_order((1, 0)), random_order(3), cyclic_order()])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rules_and_flags_run(self, rule, flag):
+        game = random_game(3, 2, 2, (2, 3), -1.0, 1.0, 0.5)
+        options = HaspiOptions(alpha=1.0, permutation_rule=rule, record_trace=flag)
+        _policy, _q, trace = haspi_solve(game, uniform_joint_policy(game), options)
+        assert trace.status == "converged"
+        assert len(trace.iterations) == (trace.sweeps + 1 if flag else 0)

@@ -696,3 +696,35 @@ class TestMaxentReturn:
         jp = joint_policy_from_rows(rows)
         expected = float(game.initial_dist @ v_star)
         assert maxent_return(game, jp, 0.0) == pytest.approx(expected, abs=1e-8)
+
+
+RESULT_TABLES = {
+    "SoftQTable": lambda a: soft_dp.SoftQTable(1.0, a),
+    "SoftValueTable": lambda a: soft_dp.SoftValueTable(1.0, a[0]),
+    "MultiAgentSoftQ": lambda a: soft_dp.MultiAgentSoftQ(1.0, (0,), a),
+}
+
+
+class TestResultTablesAndTheCallersArray:
+    @pytest.mark.parametrize("make", RESULT_TABLES.values(), ids=RESULT_TABLES)
+    def test_a_writeable_input_is_copied(self, make):
+        a = np.arange(6.0).reshape(2, 3)
+        table = make(a)
+        assert a.flags.writeable and not table.values.flags.writeable
+        assert not np.shares_memory(a, table.values)
+        a[0] = -1.0  # the table keeps its values
+        assert table.values.reshape(-1)[:3].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("make", RESULT_TABLES.values(), ids=RESULT_TABLES)
+    def test_a_read_only_input_is_taken_as_it_is(self, make):
+        a = np.arange(6.0).reshape(2, 3)
+        a.flags.writeable = False
+        table = make(a)
+        assert np.shares_memory(a, table.values) and not table.values.flags.writeable
+
+    def test_solver_tables_are_not_copied(self):
+        game = suite_game(3, 3, 4, (2, 3, 4), 0.9)
+        jp = random_start(game, 3)
+        tables, _logs, entropies = soft_dp._policy_arrays(jp)
+        q = soft_dp._evaluate_tables(game, tables, entropies, 1.0, np.eye(game.n_states))[0]
+        assert np.shares_memory(q, SoftQTable(1.0, q).values)
