@@ -58,7 +58,6 @@ from .mehaml import (
     HadfCheckReport,
     KlBall,
     KlDrift,
-    StateWeighting,
     TrivialDrift,
     full_neighborhood,
     hadf_property_check,
@@ -68,7 +67,6 @@ from .mehaml import (
     mehaml_solve,
     mehamo_eval,
     trivial_drift,
-    uniform_state_weighting,
 )
 from .baselines import BaselineOptions, baseline_run, baseline_step, surrogate_coefficients
 from .qre_oracle import (

@@ -350,7 +350,9 @@ def sweep_alpha(
 
     Branch k runs with a seed spawned as SeedSequence(seed, spawn_key=(k,))
     so the branches are independent yet reproducible from the single
-    spec-level seed. Per-branch failures are isolated: the failing branch
+    spec-level seed. Branch k is named ``<name>_alpha{alphas[k]:g}``; two
+    temperatures that give one name raise a ValueError before any solve.
+    Per-branch failures are isolated: the failing branch
     is marked in its record, the rest of the sweep proceeds. Its status is
     "eval_max_iters" when its iterative evaluation hit the cap and
     "error" for any other failure.
@@ -377,6 +379,15 @@ def sweep_alpha(
         )
         for k, alpha in enumerate(spec.alphas)
     ]
+    # A branch's files are named after it, so a shared name would overwrite.
+    named: dict[str, int] = {}
+    for k, branch in enumerate(branches):
+        j = named.setdefault(branch.name, k)
+        if j != k:
+            raise ValueError(
+                f"alphas[{j}]={spec.alphas[j]!r} and alphas[{k}]={spec.alphas[k]!r} "
+                f"share the branch name {branch.name!r}"
+            )
     solved = _solved_together(game, branches) if spec.solver in ("haspi", "masac") else None
     # Each branch's trace CSV with an alpha column in front.
     combined = ["alpha," + trace_csv_header(game)]

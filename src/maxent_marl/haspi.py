@@ -300,6 +300,11 @@ def _sweep(
         prefix = (p,) if orders is None else orders[0][: p + 1]
         groups = None if shared else _groups(orders, p, game.n_states)
         if groups is None:
+            # Routing a shared order through the grouped code instead, with
+            # slice(None) as its rows, cost suite HASPI +9 to +19 % and suite
+            # MEHAML +13 to +17 % (both versions in one process, perfbench's
+            # suite operations alternating between them, minimum of 9-40
+            # rounds, one BLAS thread).
             coefficients = _sweep_coefficients(game, old[2], mixed, q_values, prefix, alpha, reuse)
             _with_table(new, prefix[-1], rule(old, rule_new, prefix, coefficients, column))
             continue
@@ -335,31 +340,6 @@ def _groups(orders: list[tuple[int, ...]], p: int, n_states: int):
     return [(prefix, (np.array(group)[:, None] * n_states + rows).ravel()) for prefix, group in found.values()]
 
 
-def _sequential_sweep(
-    game: CooperativeMarkovGame,
-    old: Arrays,
-    q_values: np.ndarray,
-    alpha: float,
-    order: tuple[int, ...],
-    rule: RowRule = _boltzmann_rule,
-    reuse: Optional[list[np.ndarray]] = None,
-) -> Arrays:
-    """Update every agent along ``order``; (old, q_values) are checked."""
-    return _sweep(game, old, q_values, alpha, [order], rule, reuse)
-
-
-def _simultaneous_sweep(
-    game: CooperativeMarkovGame,
-    old: Arrays,
-    q_values: np.ndarray,
-    alpha: float,
-    rule: RowRule = _boltzmann_rule,
-    reuse: Optional[list[np.ndarray]] = None,
-) -> Arrays:
-    """Update every agent against the old tables; (old, q_values) are checked."""
-    return _sweep(game, old, q_values, alpha, None, rule, reuse)
-
-
 def haspi_step(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -375,7 +355,7 @@ def haspi_step(
     """
     _check_argument("temperature", alpha, "alpha")
     arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
-    return joint_policy_from_rows(_sequential_sweep(game, arrays, q, alpha, permutation.order)[0])
+    return joint_policy_from_rows(_sweep(game, arrays, q, alpha, [permutation.order])[0])
 
 
 def masac_step(
@@ -387,7 +367,7 @@ def masac_step(
     """Simultaneous variant: every agent updates against old teammates."""
     _check_argument("temperature", alpha, "alpha")
     arrays, q = _start(game, joint_policy, alpha, tol_eval)[:2]
-    return joint_policy_from_rows(_simultaneous_sweep(game, arrays, q, alpha)[0])
+    return joint_policy_from_rows(_sweep(game, arrays, q, alpha, None)[0])
 
 
 # Traced iterates whose QRE residuals are computed together: enough to spread
@@ -405,6 +385,11 @@ def _temperatures(alphas: list[float], n_states: int):
     it, else one per row. A row rule that takes some of the rows it is
     given, as MEHAML's line search does, runs a batch of one and is handed
     its one temperature."""
+    # One per row throughout, with MEHAML's rule closing over its alpha,
+    # timed suite HASPI at -0.1 to +0.7 %, where an identical copy read
+    # -0.3 to +1.1 % (one process, the two alternating per solve, sum of
+    # per-solve minima over 25-40 rounds): the one number is kept for that
+    # rule, not for speed.
     if len(set(alphas)) == 1:
         return alphas[0]
     return np.repeat(np.array(alphas, dtype=np.float64), n_states)
@@ -473,15 +458,13 @@ def _policy_iteration_loop(
         return []
     first = options[0]
     for name in ("eval_method", "tol_eval", "record_trace"):
-        if len(options) > 1 and any(getattr(o, name) != getattr(first, name) for o in options):
+        if any(getattr(o, name) != getattr(first, name) for o in options):
             raise ValueError(f"the members of a batch must agree on {name}")
     n_states = game.n_states
     tol_eval = first.tol_eval if first.eval_method == "iterative" else None
     alphas = [o.alpha for o in options]
     checked = [_checked_arrays(game, s, a, tol_eval) for s, a in zip(starts, alphas)]
-    arrays = checked[0]
-    if len(checked) > 1:
-        arrays = tuple([_joined(rows) for rows in zip(*(c[f] for c in checked))] for f in range(3))
+    arrays = tuple([_joined(rows) for rows in zip(*part)] for part in zip(*checked))
     active = list(range(len(starts)))
     alpha = _temperatures(alphas, n_states)
     eye = np.eye(n_states)
@@ -498,18 +481,14 @@ def _policy_iteration_loop(
     contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]] = []
     batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // (q.nbytes // len(active))))
 
-    def residuals() -> None:
-        for member, record in _with_residuals(contracted, game.n_agents, alphas):
-            records[member].append(record)
-        contracted.clear()
-
-    def flush(n: int) -> list[np.ndarray]:
+    def flush() -> list[np.ndarray]:
         contracted.append(_record_contractions(game, pending))
         pending.clear()
         coefficients = contracted[-1][2]
         if sum(len(fields) for fields, _, _ in contracted) + batch > _RESIDUAL_BATCH:
-            residuals()
-        return [c[-n * n_states :] for c in coefficients]
+            _with_residuals(contracted, game.n_agents, alphas, records)
+        # The current iterate's rows, which the next sweep reuses.
+        return [c[-q.shape[0] :] for c in coefficients]
 
     def snapshot(k, orders, changes) -> Optional[list[np.ndarray]]:
         values = _policy_value(joint, q, bonus, alpha)
@@ -525,7 +504,7 @@ def _policy_iteration_loop(
             order = None if orders is None else orders[j]
             fields = (member, k, order, changes[j], ret, member_values, tuple(tables))
             pending.append((fields, member_q))
-        return flush(n) if len(pending) + n > batch else None
+        return flush() if len(pending) + n > batch else None
 
     record_trace = first.record_trace
     reuse = snapshot(0, None, [0.0] * len(active)) if record_trace else None
@@ -566,8 +545,8 @@ def _policy_iteration_loop(
             reuse = [_member_rows(c, rows, n_states) for c in reuse]
         alpha = _temperatures([alphas[member] for member in active], n_states)
     if pending:
-        flush(0)
-    residuals()
+        flush()
+    _with_residuals(contracted, game.n_agents, alphas, records)
     return [
         (
             joint_policy_from_rows(tables),
@@ -608,12 +587,14 @@ def _with_residuals(
     contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]],
     n_agents: int,
     alphas: list[float],
-) -> list[tuple[int, IterationRecord]]:
-    """The records of the contracted flushes with their members, each QRE
-    residual from one softmax per agent over all of them, at its member's
-    temperature in ``alphas``."""
+    records: list[list[IterationRecord]],
+) -> None:
+    """Append the records of the contracted flushes to their members' lists
+    in ``records``, and clear the flushes. Each QRE residual comes from one
+    softmax per agent over all of them, at its member's temperature in
+    ``alphas``."""
     if not contracted:
-        return []
+        return
     fields = [f for chunk, _, _ in contracted for f in chunk]
 
     def stacked(arrays):
@@ -628,10 +609,9 @@ def _with_residuals(
     else:
         alpha = np.array(temperatures)[:, None, None]
     residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
-    return [
-        (member, IterationRecord(k, order, change, ret, values, residual, policies))
-        for (member, k, order, change, ret, values, policies), residual in zip(fields, residuals)
-    ]
+    for (member, k, order, change, ret, values, policies), residual in zip(fields, residuals):
+        records[member].append(IterationRecord(k, order, change, ret, values, residual, policies))
+    contracted.clear()
 
 
 def haspi_solve(

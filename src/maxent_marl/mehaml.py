@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,8 +61,6 @@ __all__ = [
     "KlBall",
     "kl_ball",
     "full_neighborhood",
-    "StateWeighting",
-    "uniform_state_weighting",
     "mehamo_eval",
     "mehaml_local_update",
     "mehaml_solve",
@@ -247,34 +245,6 @@ NEIGHBORHOODS: dict[str, Callable[..., NeighborhoodOperator]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class StateWeighting:
-    """Probability weights over states used by the expected mirror objective.
-
-    The per-state argmax is state-separable, so any strictly positive
-    weighting yields the same update; constant weightings are trivially
-    continuous in the policy.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if weights.ndim != 1:
-            raise ValueError("state weighting must be a vector")
-        finite = np.isfinite(weights).all()
-        if not (finite and (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12):
-            raise ValueError("state weighting must be a probability vector")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-
-def uniform_state_weighting(n_states: int) -> StateWeighting:
-    if not (isinstance(n_states, numbers.Integral) and n_states >= 1):
-        raise ValueError(f"a state weighting needs at least one state, got n_states={n_states!r}")
-    return StateWeighting(np.full(n_states, 1.0 / n_states))
-
-
 def mehamo_eval(
     game: CooperativeMarkovGame,
     joint_policy: JointPolicy,
@@ -413,7 +383,6 @@ def mehaml_solve(
     alpha: float,
     drift: DriftFunctional,
     neighborhood: NeighborhoodOperator,
-    state_weighting: Optional[StateWeighting] = None,
     options: Optional[HaspiOptions] = None,
     mode: str = "closed_form",
 ) -> tuple[JointPolicy, SolveTrace]:
@@ -421,13 +390,15 @@ def mehaml_solve(
 
     Shares the outer loop with :func:`maxent_marl.haspi.haspi_solve`, so
     a trivial drift with the full neighborhood reproduces its iterates
-    exactly under the same permutation seed. The state weighting is
-    validated but does not alter exact per-state updates (any strictly
-    positive weighting shares the same argmax).
+    exactly under the same permutation seed. ``options`` defaults to
+    ``HaspiOptions(alpha)``; given, its ``alpha`` must equal ``alpha``, or a
+    ValueError names both.
     """
-    options = dc_replace(options or HaspiOptions(alpha), alpha=alpha)
-    if state_weighting is not None and state_weighting.weights.shape != (game.n_states,):
-        raise ValueError("state weighting length does not match the game")
+    _check_argument("temperature", alpha, "alpha")
+    if options is None:
+        options = HaspiOptions(alpha)
+    elif options.alpha != alpha:
+        raise ValueError(f"alpha={alpha!r} differs from options.alpha={options.alpha!r}")
     rule = _mirror_rule(game, drift, neighborhood, mode)
     jp, _q, trace = _policy_iteration_loop(game, [initial_joint_policy], [options], rule)[0]
     return jp, trace

@@ -457,6 +457,51 @@ class TestSweep:
             records[0].final_policy[0], record.final_policy[0], atol=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "alphas, j, k",
+        [([1.0, 1.0000001, 2.0], 0, 1), ([2.0, 1.0, 1.0], 1, 2), ([1.0, 1.0], 0, 1)],
+    )
+    @pytest.mark.parametrize("solver", ["haspi", "mehaml"])
+    def test_temperatures_that_share_a_branch_name_are_rejected(
+        self, tmp_path, capsys, alphas, j, k, solver
+    ):
+        spec = {
+            "solver": solver,
+            "game": MATRIX_GAME_JSON,
+            "alphas": alphas,
+            "initial_policy": [[0.6, 0.2, 0.2], [0.6, 0.2, 0.2]],
+        }
+        path = write_json(tmp_path / "sw.json", spec)
+        out = tmp_path / "out"
+        assert main(["sweep-alpha", path, "--out", str(out), "--quiet"]) == EXIT_INVALID
+        message = capsys.readouterr().err
+        assert f"alphas[{j}]={alphas[j]!r} and alphas[{k}]={alphas[k]!r}" in message
+        assert "'sw_alpha" in message
+        # Rejected before any solve: no branch wrote a file.
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("solver", ["haspi", "mehaml"])
+    def test_close_temperatures_with_their_own_names_each_keep_their_files(
+        self, tmp_path, solver
+    ):
+        alphas = [1.0, 1.00001, 2.0]
+        spec = {
+            "solver": solver,
+            "game": MATRIX_GAME_JSON,
+            "alphas": alphas,
+            "initial_policy": [[0.6, 0.2, 0.2], [0.6, 0.2, 0.2]],
+        }
+        path = write_json(tmp_path / "sw.json", spec)
+        assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        names = [f"sw_alpha{alpha:g}" for alpha in alphas]
+        assert len(set(names)) == len(alphas)
+        for name in names:
+            assert (tmp_path / f"{name}_trace.csv").exists()
+            assert (tmp_path / f"{name}_summary.json").exists()
+        summary = json.loads((tmp_path / "sw_sweep_summary.json").read_text())
+        assert summary["alphas"] == alphas
+        assert len(summary["statuses"]) == len(alphas)
+
 
 class TestCliInterface:
     def test_solve_exit_codes(self, tmp_path, capsys):

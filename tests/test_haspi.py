@@ -52,8 +52,7 @@ from maxent_marl import game_core, haspi, qre_oracle, soft_dp
 from maxent_marl.common import boltzmann_rows
 from maxent_marl.haspi import (
     _boltzmann_rule,
-    _sequential_sweep,
-    _simultaneous_sweep,
+    _sweep,
     expected_conditional_q,
 )
 from maxent_marl.game_core import _policy_arrays
@@ -377,11 +376,8 @@ def sweep_coefficients(game, jp, q, alpha, order, reuse):
         seen.append((updated, prefix[-1], coefficients))
         return _boltzmann_rule(old, new, prefix, coefficients, alpha)
 
-    arrays = _policy_arrays(jp)
-    if order is None:
-        _simultaneous_sweep(game, arrays, q.values, alpha, rule, reuse)
-    else:
-        _sequential_sweep(game, arrays, q.values, alpha, Permutation(order).order, rule, reuse)
+    orders = None if order is None else [Permutation(order).order]
+    _sweep(game, _policy_arrays(jp), q.values, alpha, orders, rule, reuse)
     return seen
 
 
@@ -508,16 +504,17 @@ class TestBatchedRecords:
 
 
 def einsum_calls(monkeypatch, solve):
-    """How many times ``solve()`` calls ``np.einsum``."""
+    """How many contractions ``solve()`` makes, counted as calls of
+    ``soft_dp._contracted``: at suite shapes each is one einsum."""
     calls = []
-    einsum = np.einsum
+    contracted = soft_dp._contracted
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(None)
-        return einsum(*args, **kwargs)
+        return contracted(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "einsum", counted)
+        patch.setattr(soft_dp, "_contracted", counted)
         solve()
     return len(calls)
 

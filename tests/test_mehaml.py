@@ -25,7 +25,6 @@ from maxent_marl import (
     sup_policy_distance,
     trivial_drift,
     uniform_joint_policy,
-    uniform_state_weighting,
 )
 from maxent_marl.common import boltzmann_rows
 from maxent_marl.game_core import AgentPolicy, JointPolicy, _policy_arrays
@@ -36,7 +35,6 @@ from maxent_marl.mehaml import (
     DriftFunctional,
     KlDrift,
     NeighborhoodOperator,
-    StateWeighting,
     _kl_regularized_rows,
     _mirror_rule,
 )
@@ -526,23 +524,30 @@ class TestMehamlSolve:
         assert all(returns[i + 1] >= returns[i] - 1e-9 for i in range(len(returns) - 1))
         assert returns[-1] > returns[0]
 
-    def test_state_weighting_validation(self):
-        with pytest.raises(ValueError):
-            StateWeighting(np.array([0.5, 0.4]))
-        w = uniform_state_weighting(4)
-        assert np.allclose(w.weights, 0.25)
+    def test_options_must_agree_on_alpha(self, matrix_game, start_policy):
+        options = HaspiOptions(alpha=5.0, max_outer_iters=3)
+        with pytest.raises(ValueError, match=r"alpha=10\.0 differs from options\.alpha=5\.0"):
+            mehaml_solve(
+                matrix_game, start_policy, 10.0, kl_drift(1.0), full_neighborhood(), options=options
+            )
+        # A non-finite alpha still gets the temperature rule's message.
+        with pytest.raises(ValueError, match="temperature must be finite.*got alpha=nan"):
+            mehaml_solve(
+                matrix_game, start_policy, math.nan, kl_drift(1.0), full_neighborhood(),
+                options=options,
+            )
 
-    @pytest.mark.parametrize("n_states", [0, -1, 2.0])
-    def test_uniform_weighting_needs_a_state_count(self, n_states):
-        with pytest.raises(ValueError, match=f"at least one state, got n_states={n_states}"):
-            uniform_state_weighting(n_states)
-
-    @pytest.mark.parametrize(
-        "weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, -math.inf], [math.inf, 0.0]]
-    )
-    def test_state_weighting_rejects_non_finite_weights(self, weights):
-        with pytest.raises(ValueError, match="probability vector"):
-            StateWeighting(np.array(weights))
+    def test_options_that_agree_on_alpha_are_used(self, matrix_game, start_policy):
+        # An equal alpha passes the check, even as an int, and the options'
+        # other fields still govern the solve.
+        options = HaspiOptions(alpha=10.0, max_outer_iters=1)
+        for alpha in (10.0, 10):
+            _p, trace = mehaml_solve(
+                matrix_game, start_policy, alpha, kl_drift(1.0), full_neighborhood(),
+                options=options,
+            )
+            assert trace.status == "max_iters"
+            assert trace.sweeps == 1
 
 
 class TestHadfPropertyCheck:
