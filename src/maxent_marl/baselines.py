@@ -24,22 +24,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .common import IterationRecord, SolveTrace, _check_argument
+from .common import IterationRecord, SolveTrace, _agent_id, _agent_ids, _check_argument, _is_real
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
     JointPolicy,
-    joint_action_table,
-    sup_policy_distance,
+    _joint_table,
+    _sup_distance,
+    joint_policy_from_rows,
 )
-from .soft_dp import _check_prefix, _contract
+from .soft_dp import _check_policy, _check_prefix, _contract
 
-__all__ = [
-    "BaselineOptions",
-    "surrogate_coefficients",
-    "baseline_step",
-    "baseline_run",
-]
+__all__ = ["BaselineOptions", "surrogate_coefficients", "baseline_step", "baseline_run"]
 
 _ALGORITHMS = ("mappo", "happo")
 _UPDATE_MODES = ("argmax", "mirror")
@@ -50,7 +46,8 @@ class BaselineOptions:
     """Configuration for a baseline run.
 
     ``permutation`` fixes the sequential update order (identity when
-    omitted); it is ignored by the simultaneous algorithm.
+    omitted); it is ignored by the simultaneous algorithm. Its entries
+    must be integers, not bools, and ``step_size`` a real number.
     """
 
     algorithm: str
@@ -65,20 +62,26 @@ class BaselineOptions:
         if self.update_mode not in _UPDATE_MODES:
             raise ValueError(f"unknown update mode {self.update_mode!r}")
         # Written so that NaN fails the test too.
-        if self.update_mode == "mirror" and not 0 < self.step_size < math.inf:
-            raise ValueError(f"mirror mode needs a finite positive step size: {self.step_size}")
+        step = self.step_size
+        if self.update_mode == "mirror" and not (_is_real(step) and 0 < step < math.inf):
+            raise ValueError(f"mirror mode needs a finite positive step size: {step}")
         _check_argument("iteration cap", self.iterations, "iterations")
         if self.permutation is not None:
-            object.__setattr__(
-                self, "permutation", tuple(int(i) for i in self.permutation)
-            )
+            object.__setattr__(self, "permutation", _agent_ids(self.permutation, "permutation"))
 
 
-def _check_matrix_scope(game: CooperativeMarkovGame) -> None:
+def _checked_tables(game: CooperativeMarkovGame, joint_policy: JointPolicy) -> list[np.ndarray]:
+    """The policy's read-only tables, once the game is in the baselines'
+    scope and the policy fits it."""
     if game.n_states != 1 or game.gamma != 0.0:
-        raise ValueError(
-            "baselines are scoped to single-state games with gamma = 0"
-        )
+        raise ValueError("baselines are scoped to single-state games with gamma = 0")
+    _check_policy(game, joint_policy)
+    return [p.table for p in joint_policy.agents]
+
+
+def _plain_value(game: CooperativeMarkovGame, tables: Sequence[np.ndarray]) -> float:
+    """The temperature-zero expected reward of the product of ``tables``."""
+    return float(_joint_table(tables)[0] @ game.reward[0])
 
 
 def surrogate_coefficients(
@@ -95,27 +98,54 @@ def surrogate_coefficients(
     (the importance ratio against the old policy cancels the old row),
     everyone else stays at the old policy.
     """
-    _check_matrix_scope(game)
-    _check_prefix(game, (agent,))
-    joint = joint_action_table(joint_policy)[0]
-    value = float(joint @ game.reward[0])
-    advantage = game.reward - value
-    updated = {p.agent_id: p for p in ratio_policies or ()}
+    tables = _checked_tables(game, joint_policy)
+    (agent,) = _check_prefix(game, (_agent_id(agent, "agent"),))
+    updated = {p.agent_id: p.table for p in ratio_policies or ()}
     if agent in updated:
         raise ValueError(f"agent {agent} cannot appear in ratio_policies")
-    mixed = [updated.get(j, p).table for j, p in enumerate(joint_policy.agents)]
-    return _contract(game, mixed, advantage, (agent,))[0]
+    mixed = [updated.get(j, t) for j, t in enumerate(tables)]
+    return _contract(game, mixed, game.reward - _plain_value(game, tables), (agent,))[0]
 
 
-def _argmax_row(coefficients: np.ndarray) -> np.ndarray:
-    row = np.zeros_like(coefficients)
-    row[int(np.argmax(coefficients))] = 1.0  # ties break to the lowest index
-    return row
+def _order(game: CooperativeMarkovGame, options: BaselineOptions) -> Optional[tuple[int, ...]]:
+    """The sequential update order, checked; None for the simultaneous algorithm."""
+    if options.algorithm == "mappo":
+        return None
+    order = tuple(range(game.n_agents)) if options.permutation is None else options.permutation
+    if sorted(order) != list(range(game.n_agents)):
+        raise ValueError(f"{order} is not a permutation of the agents")
+    return order
 
 
-def _mirror_row(row: np.ndarray, coefficients: np.ndarray, step_size: float) -> np.ndarray:
-    weights = row * np.exp(step_size * (coefficients - coefficients.max()))
-    return weights / weights.sum()
+def _sweep(
+    game: CooperativeMarkovGame, tables: list[np.ndarray], value: float,
+    order: Optional[tuple[int, ...]], options: BaselineOptions,
+) -> list[np.ndarray]:
+    """One expected surrogate update of every agent: the new read-only
+    tables, one row per agent, from the old ones and their plain ``value``.
+
+    With no ``order`` (mappo) every agent's advantage is contracted against
+    the old tables; along an ``order`` (happo) against the sweep's tables so
+    far, the updated agents' new rows and the old rows of the rest.
+    """
+    advantage = game.reward - value
+    new = list(tables)
+    mixed = tables if order is None else new
+    for agent in range(game.n_agents) if order is None else order:
+        coefficients = _contract(game, mixed, advantage, (agent,))  # shape (1, |A^agent|)
+        if options.update_mode == "argmax":
+            table = np.zeros_like(coefficients)
+            table[0, int(np.argmax(coefficients))] = 1.0  # ties break to the lowest index
+        else:
+            # Multiplicative weights, max-shifted: p <- p * exp(step * c), normalized.
+            table = tables[agent] * np.exp(options.step_size * (coefficients - coefficients.max()))
+            table /= table.sum()
+        # Unreachable with a finite reward.
+        if not np.logical_and.reduce(np.isfinite(table), axis=None):
+            raise RuntimeError("baseline update produced a non-finite row")
+        table.flags.writeable = False
+        new[agent] = table
+    return new
 
 
 def baseline_step(
@@ -130,30 +160,9 @@ def baseline_step(
     ``options.permutation`` order, feeding each later agent the rows of
     the already-updated teammates.
     """
-    _check_matrix_scope(game)
-
-    def updated_row(agent: int, ratio: Sequence[AgentPolicy]) -> AgentPolicy:
-        coef = surrogate_coefficients(game, joint_policy, agent, ratio)
-        if options.update_mode == "argmax":
-            row = _argmax_row(coef)
-        else:
-            row = _mirror_row(joint_policy.agents[agent].table[0], coef, options.step_size)
-        return AgentPolicy(agent, row.reshape(1, -1))
-
-    if options.algorithm == "mappo":
-        agents = tuple(updated_row(i, ()) for i in range(game.n_agents))
-        return JointPolicy(agents)
-
-    order = tuple(range(game.n_agents)) if options.permutation is None else options.permutation
-    if sorted(order) != list(range(game.n_agents)):
-        raise ValueError(f"{order} is not a permutation of the agents")
-    agents = list(joint_policy.agents)
-    done: list[AgentPolicy] = []
-    for agent in order:
-        policy = updated_row(agent, done)
-        done.append(policy)
-        agents[agent] = policy
-    return JointPolicy(tuple(agents))
+    tables = _checked_tables(game, joint_policy)
+    order = _order(game, options)
+    return joint_policy_from_rows(_sweep(game, tables, _plain_value(game, tables), order, options))
 
 
 def baseline_run(
@@ -166,30 +175,22 @@ def baseline_run(
     The recorded return is the temperature-zero expected reward of the
     product policy, enumerated exactly. Status is "converged" once the
     final sweep moved the policy by less than 1e-9 (argmax absorbs at a
-    vertex after at most two sweeps and stays there).
+    vertex after at most two sweeps and stays there). The run iterates on
+    the policies' tables, and its records hold those read-only tables
+    themselves, as the soft solvers' records do, not writeable copies.
     """
-    _check_matrix_scope(game)
-    jp = initial_joint_policy
-
-    def record(k: int, change: float) -> IterationRecord:
-        joint = joint_action_table(jp)[0]
-        value = float(joint @ game.reward[0])
-        return IterationRecord(
-            iteration=k,
-            permutation=options.permutation if options.algorithm == "happo" else None,
-            policy_change=change,
-            maxent_return=value,
-            values=np.array([value]),
-            qre_residual=float("nan"),
-            policies=tuple(a.table.copy() for a in jp.agents),
+    tables = _checked_tables(game, initial_joint_policy)
+    order = _order(game, options)
+    permutation = None if order is None else options.permutation
+    records: list[IterationRecord] = []
+    value, change = _plain_value(game, tables), 0.0
+    for k in range(options.iterations + 1):
+        if k:  # record 0 describes the start
+            new = _sweep(game, tables, value, order, options)
+            change, tables = _sup_distance(new, tables), new
+            value = _plain_value(game, tables)
+        records.append(
+            IterationRecord(k, permutation, change, value, np.array([value]), math.nan, tuple(tables))
         )
-
-    records = [record(0, 0.0)]
-    change = np.inf
-    for k in range(1, options.iterations + 1):
-        jp_new = baseline_step(game, jp, options)
-        change = sup_policy_distance(jp_new, jp)
-        jp = jp_new
-        records.append(record(k, change))
     status = "converged" if change < 1e-9 else "max_iters"
     return SolveTrace(iterations=records, status=status, sweeps=options.iterations)

@@ -65,7 +65,6 @@ from .specs import (
     initial_policy_for,
     load_experiment,
     load_game,
-    parse_game,
     resolve_game,
     trace_csv_header,
     write_summary_json,

@@ -20,8 +20,19 @@ import numpy as np
 
 __all__ = ["boltzmann_rows", "IterationRecord", "SolveTrace"]
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool; numpy's numbers are."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool; numpy's integers are."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 # What a valid argument is, by kind: a test that NaN fails, and the rule a
-# failure names. The evaluations of :mod:`maxent_marl.soft_dp` take any
+# failure names. Every kind is a real number and not a bool first (see
+# _check_argument). The evaluations of :mod:`maxent_marl.soft_dp` take any
 # finite temperature (alpha = 0 gives the unregularized values); the
 # solvers, the Boltzmann rows and the logit functions need a positive one.
 _ARGUMENT_RULES = {
@@ -31,32 +42,48 @@ _ARGUMENT_RULES = {
     "evaluation temperature": (lambda x: -math.inf < x < math.inf, "temperature must be finite"),
     "tolerance": (lambda x: 0 < x < math.inf, "tolerances must be finite and positive"),
     "iteration cap": (
-        lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1,
+        lambda x: isinstance(x, numbers.Integral) and x >= 1,
         "an iteration cap must be an integer, and iteration caps must be at least 1",
     ),
-    # What numpy's seeding takes; a bool is not a seed.
+    # What numpy's seeding takes.
     "seed": (
-        lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0,
-        "a seed must be a non-negative integer",
+        lambda x: isinstance(x, numbers.Integral) and x >= 0, "a seed must be a non-negative integer"
     ),
     # A grid step of at most the simplex's own width.
     "grid resolution": (lambda x: 0 < x <= 1, "a grid resolution must be finite and in (0, 1]"),
+    "damping": (lambda x: 0 < x <= 1, "damping must lie in (0, 1]"),
 }
 
 
 def _check_argument(kind: str, value, name: str) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is a valid ``kind``."""
     test, rule = _ARGUMENT_RULES[kind]
-    if not test(value):
-        raise ValueError(f"{rule}, got {name}={value}")
+    if not (_is_real(value) and test(value)):
+        raise ValueError(f"{rule}, got {name}={value if _is_real(value) else repr(value)}")
 
 
 def _check_index(kind: str, value, count: int, name: str) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is an
-    integer in [0, count), the rule for a state or an action of a game."""
-    if not (isinstance(value, numbers.Integral) and 0 <= value < count):
+    integer in [0, count) and not a bool, the rule for a state or an action
+    of a game."""
+    if not (_is_integer(value) and 0 <= value < count):
         raise ValueError(f"{kind} must be an integer in [0, {count}), got {name}={value!r}")
     return int(value)
+
+
+def _agent_id(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integer and not a bool. Whether it is one of a game's agents is the
+    caller's rule."""
+    if not _is_integer(value):
+        raise ValueError(f"an agent id must be an integer, got {name}={value!r}")
+    return int(value)
+
+
+def _agent_ids(ids, name: str) -> tuple[int, ...]:
+    """A sequence of agent ids as a tuple of ints, each checked by
+    :func:`_agent_id` and named by its position in ``name``."""
+    return tuple(_agent_id(i, f"{name}[{k}]") for k, i in enumerate(ids))
 
 
 def boltzmann_rows(coefficients: np.ndarray, alpha: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import _check_argument, _check_index, _sup_norm
+from .common import _agent_id, _agent_ids, _check_argument, _check_index, _is_real, _sup_norm
 
 __all__ = [
     "CooperativeMarkovGame",
@@ -170,13 +170,14 @@ class AgentPolicy:
 
     Rows must be probability distributions (sum to 1 within 1e-12, so a
     row holding NaN or an infinity is rejected) and every entry must be at
-    least ``floor``. The floor is a declared lower bound, default 0;
+    least ``floor``. The floor is a declared lower bound, finite and
+    non-negative, default 0, and ``agent_id`` an integer, not a bool;
     deterministic rows are legitimate at floor 0, while Boltzmann-produced
     rows are strictly positive analytically without needing a positive
     floor. Construction makes the table a read-only copy of the input, so
     the logs and row entropies cached on first use cannot go stale. The
-    solvers iterate on plain tables and build policies, with
-    :func:`joint_policy_from_rows`, only for their results.
+    solvers and the baselines iterate on plain tables and build policies,
+    with :func:`joint_policy_from_rows`, only for their results.
     """
 
     agent_id: int
@@ -187,8 +188,8 @@ class AgentPolicy:
         table = np.array(self.table, dtype=np.float64, order="C")
         if table.ndim != 2:
             raise ValueError(f"policy table must be 2-d, got shape {table.shape}")
-        if self.floor < 0:
-            raise ValueError("policy floor must be non-negative")
+        if not (_is_real(self.floor) and 0 <= self.floor < math.inf):
+            raise ValueError(f"policy floor must be finite and non-negative, got floor={self.floor}")
         sums = table.sum(axis=1)
         # Written so that a NaN sum fails the test too.
         if not abs(sums - 1.0).max(initial=0.0) <= _ROW_SUM_TOL:
@@ -202,7 +203,7 @@ class AgentPolicy:
             )
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "agent_id", int(self.agent_id))
+        object.__setattr__(self, "agent_id", _agent_id(self.agent_id, "agent_id"))
 
     @property
     def n_states(self) -> int:
@@ -276,12 +277,13 @@ class JointPolicy:
 
 @dataclass(frozen=True)
 class Permutation:
-    """An ordering of the agents 0..n-1; each index appears exactly once."""
+    """An ordering of the agents 0..n-1; each index appears exactly once,
+    as an integer, not a bool."""
 
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(int(i) for i in self.order)
+        order = _agent_ids(self.order, "order")
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"{order} is not a permutation of 0..{len(order) - 1}")

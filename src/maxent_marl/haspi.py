@@ -28,6 +28,8 @@ import numpy as np
 from .common import (
     IterationRecord,
     SolveTrace,
+    _agent_id,
+    _agent_ids,
     _boltzmann_rows,
     _check_argument,
     _logit_responses,
@@ -81,7 +83,8 @@ class PermutationRule:
     kind "fixed" replays one ordering, "random" draws a fresh uniform
     permutation each iteration from a generator seeded by ``seed``, which
     must be a non-negative integer, "cyclic" rotates the identity ordering
-    by one position per iteration.
+    by one position per iteration. The entries of ``ordering`` must be
+    integers, not bools; none is truncated.
     """
 
     kind: str
@@ -96,7 +99,7 @@ class PermutationRule:
         if self.kind == "random":
             _check_argument("seed", self.seed, "seed")
         if self.ordering is not None:
-            object.__setattr__(self, "ordering", tuple(int(i) for i in self.ordering))
+            object.__setattr__(self, "ordering", _agent_ids(self.ordering, "ordering"))
 
     def sampler(self, n_agents: int) -> Callable[[int], tuple[int, ...]]:
         """The ordering of iteration k, as a tuple of agent ids."""
@@ -179,6 +182,7 @@ def expected_conditional_q(
     (:func:`_sweep`); this chain is their reference.
     """
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
+    agent = _agent_id(agent, "agent")
     if agent in prefix_ids:
         raise ValueError(f"agent {agent} already appears in the updated prefix")
     _check_evaluated(game, joint_policy_old, q_old, alpha)

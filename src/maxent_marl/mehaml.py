@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .common import SolveTrace, _boltzmann_rows, _check_argument, _check_index
+from .common import SolveTrace, _boltzmann_rows, _check_argument, _check_index, _is_integer, _is_real
 from .game_core import (
     AgentPolicy,
     CooperativeMarkovGame,
@@ -151,7 +150,7 @@ class KlDrift(DriftFunctional):
 
     def __post_init__(self) -> None:
         # Written so that NaN fails the test too.
-        if not 0 <= self.beta < math.inf:
+        if not (_is_real(self.beta) and 0 <= self.beta < math.inf):
             raise ValueError(f"KL drift coefficient must be finite and >= 0, got {self.beta}")
 
     def rows(self, game, old, new, prefix, candidate_rows, states):
@@ -215,7 +214,7 @@ class KlBall(NeighborhoodOperator):
     name = "kl_ball"
 
     def __post_init__(self) -> None:
-        if not 0 < self.radius < math.inf:
+        if not (_is_real(self.radius) and 0 < self.radius < math.inf):
             raise ValueError(f"KL ball radius must be finite and positive, got {self.radius}")
 
     def contains_rows(self, current_rows, candidate_rows):
@@ -441,11 +440,11 @@ def hadf_property_check(
     returned worst observations, not raised. Arguments that would leave
     the probes undefined raise a ValueError naming the argument.
     """
-    epsilons = sorted({float(e) for e in epsilons})
     # Written so that NaN fails the test too.
-    if len(epsilons) < 2 or not all(0 < e < math.inf for e in epsilons):
+    if len(set(epsilons)) < 2 or not all(_is_real(e) and 0 < e < math.inf for e in epsilons):
         raise ValueError(f"epsilons need 2+ distinct finite values > 0, got epsilons={epsilons}")
-    if not (isinstance(n_directions, numbers.Integral) and n_directions >= 1):
+    epsilons = sorted({float(e) for e in epsilons})
+    if not (_is_integer(n_directions) and n_directions >= 1):
         raise ValueError(f"n_directions must be an integer >= 1, got n_directions={n_directions}")
     if not sample_policies:
         raise ValueError("sample_policies must hold at least one joint policy")

@@ -27,6 +27,7 @@ import numpy as np
 from .common import (
     IterationRecord,
     SolveTrace,
+    _agent_id,
     _check_argument,
     _check_index,
     _logit_responses,
@@ -95,7 +96,7 @@ def logit_response(
     Q-table of the current joint policy (evaluated exactly unless a table
     is supplied).
     """
-    coef = _logit_coefficients(game, joint_policy, agent, alpha, q)[1][0]
+    coef = _logit_coefficients(game, joint_policy, _agent_id(agent, "agent"), alpha, q)[1][0]
     return AgentPolicy(agent, boltzmann_rows(coef, alpha))
 
 
@@ -174,8 +175,7 @@ def qre_fixed_point(
     the reported residual.
     """
     _check_argument("temperature", alpha, "alpha")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    _check_argument("damping", damping, "damping")
     _check_argument("tolerance", tol, "tol")
     _check_argument("iteration cap", max_iters, "max_iters")
     jp = initial_joint_policy if initial_joint_policy is not None else uniform_joint_policy(game)

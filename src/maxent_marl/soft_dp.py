@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .common import _check_argument, _sup_norm
+from .common import _agent_ids, _check_argument, _sup_norm
 from .game_core import (
     _PAIRWISE_MIN_JOINT_ACTIONS,
     CooperativeMarkovGame,
@@ -133,7 +133,7 @@ class MultiAgentSoftQ:
 
     def __post_init__(self) -> None:
         _freeze_values(self)
-        object.__setattr__(self, "prefix", tuple(int(i) for i in self.prefix))
+        object.__setattr__(self, "prefix", _agent_ids(self.prefix, "prefix"))
 
 
 def zero_soft_q(game: CooperativeMarkovGame, alpha: float) -> SoftQTable:
@@ -283,6 +283,7 @@ def evaluate_policy_iterative(
     backup is already exact for gamma = 0. Raises
     :class:`EvaluationNotConverged` if ``max_iters`` is exhausted first.
     """
+    _check_argument("tolerance", tol, "tol")  # None would make _start's evaluation exact
     _arrays, q, _joint, _bonus, backups = _start(game, joint_policy, alpha, tol, max_iters)
     return SoftQTable(alpha, q), backups[0]
 
@@ -429,8 +430,9 @@ def _evaluate_tables(game, tables, entropies, alpha, eye, tol_eval=None, max_ite
 
 
 def _check_prefix(game: CooperativeMarkovGame, prefix: Sequence[int]) -> tuple[int, ...]:
-    """An ordered subset of the game's agents, as a tuple of their ids."""
-    prefix = tuple(int(i) for i in prefix)
+    """An ordered subset of the game's agents, as a tuple of their ids; a
+    bool or a non-integer id is named by its position in the prefix."""
+    prefix = _agent_ids(prefix, "prefix")
     if len(set(prefix)) != len(prefix):
         raise ValueError(f"prefix {prefix} contains a duplicate agent")
     if any(i < 0 or i >= game.n_agents for i in prefix):
@@ -627,8 +629,8 @@ def multiagent_soft_advantage(
     A^{subset}(s, a^{cond}, a^{subset}) = Q^{cond+subset} - Q^{cond},
     returned with shape (|S|, |A^{cond...}|..., |A^{subset...}|...).
     """
-    cond = tuple(int(i) for i in cond_subset)
-    sub = tuple(int(i) for i in subset)
+    cond = _agent_ids(cond_subset, "cond_subset")
+    sub = _agent_ids(subset, "subset")
     if set(cond) & set(sub):
         raise ValueError(f"subsets {cond} and {sub} overlap")
     q_both = multiagent_soft_q(game, joint_policy, q, cond + sub, alpha)

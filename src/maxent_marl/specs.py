@@ -22,7 +22,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -31,7 +30,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .common import _ARGUMENT_RULES, SolveTrace, _check_argument
+from .common import _ARGUMENT_RULES, SolveTrace, _check_argument, _is_integer, _is_real
 from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
@@ -181,7 +180,7 @@ def _integer(key: str, value: Any, kind: str = "game") -> int:
     and rejected; nothing is converted from text or truncated."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ValueError(f"{kind} field {key!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -344,7 +343,7 @@ def _typed(key: str, value: Any, kind: type | tuple[type, ...], expected: str) -
 def _real(key: str, value: Any, kind: str = "game") -> float:
     """A JSON number as a float; text and booleans are named and rejected,
     and an integer too large for a float becomes infinite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{kind} field {key!r} must be a number, got {value!r}")
     try:
         return float(value)
@@ -418,7 +417,7 @@ def _named_option(
                 f"experiment field {key!r}: {name!r} takes no option {option!r} "
                 f"(options: {sorted(own) or 'none'})"
             )
-        if isinstance(number, bool) or not isinstance(number, (int, float)):
+        if not _is_real(number):
             raise ValueError(
                 f"experiment field {key!r}: option {option!r} must be a number, got {number!r}"
             )

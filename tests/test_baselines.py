@@ -1,8 +1,11 @@
 """Expected-update baselines: coefficients, vertex absorption, the trap."""
 
+import re
+
 import numpy as np
 import pytest
 
+from conftest import MATRIX, START_ROW
 from maxent_marl import (
     AgentPolicy,
     BaselineOptions,
@@ -13,13 +16,16 @@ from maxent_marl import (
     fixed_order,
     haspi_solve,
     joint_action_table,
+    joint_policy_from_rows,
     maxent_return,
     new_matrix_game,
     qre_fixed_point,
     random_game,
+    sup_policy_distance,
     surrogate_coefficients,
     uniform_joint_policy,
 )
+from maxent_marl import baselines
 
 
 class TestSurrogateCoefficients:
@@ -122,6 +128,8 @@ class TestBaselineStep:
             ({"step_size": float("nan")}, "finite positive step size: nan"),
             ({"step_size": float("inf")}, "finite positive step size: inf"),
             ({"iterations": 0}, "iteration caps must be at least 1, got iterations=0"),
+            ({"step_size": True}, "finite positive step size: True"),
+            ({"step_size": "0.1"}, "finite positive step size: 0.1"),
         ],
     )
     def test_options_rejected_by_name(self, options, message):
@@ -196,3 +204,175 @@ class TestBaselineRun:
         )
         trace = baseline_run(matrix_game, start_policy, options)
         assert trace.iterations[-1].maxent_return == pytest.approx(5.0, abs=1e-2)
+
+
+def reference_step(game, jp, options):
+    """One baseline update as a loop over policy objects, from the public
+    ``surrogate_coefficients``: each agent's new row is built as an
+    ``AgentPolicy``, and happo feeds the rows updated so far to the next."""
+
+    def updated(agent, ratio):
+        coef = surrogate_coefficients(game, jp, agent, ratio)
+        if options.update_mode == "argmax":
+            row = np.zeros_like(coef)
+            row[int(np.argmax(coef))] = 1.0
+        else:
+            weights = jp.agents[agent].table[0] * np.exp(options.step_size * (coef - coef.max()))
+            row = weights / weights.sum()
+        return AgentPolicy(agent, row.reshape(1, -1))
+
+    if options.algorithm == "mappo":
+        return JointPolicy(tuple(updated(i, ()) for i in range(game.n_agents)))
+    order = tuple(range(game.n_agents)) if options.permutation is None else options.permutation
+    agents = list(jp.agents)
+    done = []
+    for agent in order:
+        done.append(updated(agent, done))
+        agents[agent] = done[-1]
+    return JointPolicy(tuple(agents))
+
+
+def reference_run(game, jp, options):
+    """``baseline_run``'s records as field tuples, and its status, from
+    :func:`reference_step`, ``joint_action_table`` and ``sup_policy_distance``."""
+    permutation = options.permutation if options.algorithm == "happo" else None
+
+    def record(k, change):
+        value = float(joint_action_table(jp)[0] @ game.reward[0])
+        tables = tuple(a.table for a in jp.agents)
+        return (k, permutation, change, value, np.array([value]), float("nan"), tables)
+
+    records = [record(0, 0.0)]
+    for k in range(1, options.iterations + 1):
+        new = reference_step(game, jp, options)
+        change = sup_policy_distance(new, jp)
+        jp = new
+        records.append(record(k, change))
+    return records, "converged" if change < 1e-9 else "max_iters"
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_cases():
+    """(game, two starts) for the Appendix B game and a 3-agent matrix game."""
+    appendix_b = new_matrix_game(MATRIX)
+    three = random_game(3, 3, 1, [2, 3, 4], -1, 1, 0.0)
+    rng = np.random.default_rng(21)
+
+    def seeded(game):
+        return joint_policy_from_rows([rng.dirichlet(np.ones(c), size=1) for c in game.action_counts])
+
+    row = np.array([START_ROW])
+    return {
+        "appendix-b": (appendix_b, joint_policy_from_rows([row, row]), seeded(appendix_b)),
+        "three-agents": (three, uniform_joint_policy(three), seeded(three)),
+    }
+
+
+class TestAgainstThePolicyLoop:
+    """Every record of ``baseline_run`` and every ``baseline_step`` result
+    has the bits of a loop that builds a policy for every update."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["default-order", "reversed-order"])
+    @pytest.mark.parametrize("update_mode", ["argmax", "mirror"])
+    @pytest.mark.parametrize("algorithm", ["mappo", "happo"])
+    @pytest.mark.parametrize("case", ["appendix-b", "three-agents"])
+    def test_byte_equal_to_the_policy_loop(self, case, algorithm, update_mode, reverse):
+        game, *starts = reference_cases()[case]
+        permutation = tuple(reversed(range(game.n_agents))) if reverse else None
+        options = BaselineOptions(
+            algorithm, update_mode, step_size=0.3, iterations=25, permutation=permutation
+        )
+        for start in starts:
+            step = baseline_step(game, start, options)
+            expected_step = reference_step(game, start, options)
+            assert [a.agent_id for a in step.agents] == list(range(game.n_agents))
+            for got, expected in zip(step.agents, expected_step.agents):
+                assert same_bits(got.table, expected.table)
+
+            trace = baseline_run(game, start, options)
+            expected_records, expected_status = reference_run(game, start, options)
+            assert (trace.status, trace.sweeps) == (expected_status, options.iterations)
+            assert len(trace.iterations) == len(expected_records)
+            for rec, expected in zip(trace.iterations, expected_records):
+                k, perm, change, value, values, residual, tables = expected
+                assert (rec.iteration, rec.permutation) == (k, perm)
+                assert same_bits(rec.policy_change, change)
+                assert same_bits(rec.maxent_return, value)
+                assert same_bits(rec.values, values)
+                assert same_bits(rec.qre_residual, residual)
+                assert len(rec.policies) == len(tables)
+                assert all(same_bits(t, e) for t, e in zip(rec.policies, tables))
+
+
+def count_constructions(monkeypatch):
+    """The AgentPolicy and JointPolicy objects built from here on, by class."""
+    built = []
+    for cls in (AgentPolicy, JointPolicy):
+
+        def counting(self, cls=cls, post_init=cls.__post_init__):
+            built.append(cls)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
+class TestIteratesAreTables:
+    @pytest.mark.parametrize("algorithm", ["mappo", "happo"])
+    def test_run_builds_no_policy_per_update(self, monkeypatch, algorithm):
+        cases = reference_cases().values()
+        built = count_constructions(monkeypatch)
+        for game, start, _seeded in cases:
+            for iterations in (1, 200):
+                built.clear()
+                trace = baseline_run(game, start, BaselineOptions(algorithm, iterations=iterations))
+                assert trace.sweeps == iterations
+                assert built == []
+
+    @pytest.mark.parametrize("algorithm", ["mappo", "happo"])
+    def test_step_builds_only_its_result(self, monkeypatch, algorithm):
+        cases = reference_cases().values()
+        built = count_constructions(monkeypatch)
+        for game, start, _seeded in cases:
+            built.clear()
+            baseline_step(game, start, BaselineOptions(algorithm))
+            assert (built.count(AgentPolicy), built.count(JointPolicy)) == (game.n_agents, 1)
+
+    def test_records_hold_read_only_tables(self, matrix_game, start_policy):
+        trace = baseline_run(matrix_game, start_policy, BaselineOptions("happo", iterations=5))
+        for table, agent in zip(trace.iterations[0].policies, start_policy.agents):
+            assert table is agent.table
+        for rec in trace.iterations:
+            assert not any(table.flags.writeable for table in rec.policies)
+
+    def test_non_finite_row_is_named(self, monkeypatch, matrix_game, start_policy):
+        def nan_contract(game, tables, values, prefix):
+            return np.full((1, game.action_counts[prefix[-1]]), np.nan)
+
+        monkeypatch.setattr(baselines, "_contract", nan_contract)
+        for run in (baseline_step, baseline_run):
+            with pytest.raises(RuntimeError, match="baseline update produced a non-finite row"):
+                run(matrix_game, start_policy, BaselineOptions("happo"))
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("agent", [0.5, True, "0", None], ids=repr)
+    def test_agent_must_be_an_integer(self, matrix_game, start_policy, agent):
+        message = re.escape(f"an agent id must be an integer, got agent={agent!r}")
+        with pytest.raises(ValueError, match=message):
+            surrogate_coefficients(matrix_game, start_policy, agent)
+
+    @pytest.mark.parametrize("permutation", [(0.5, 1), (1, True), (0, "1")], ids=repr)
+    def test_permutation_entries_must_be_integers(self, matrix_game, start_policy, permutation):
+        with pytest.raises(ValueError, match=r"an agent id must be an integer, got permutation\["):
+            BaselineOptions("happo", permutation=permutation)
+
+    def test_policy_must_fit_the_game(self, matrix_game):
+        three = uniform_joint_policy(new_matrix_game(np.eye(2)))
+        for run in (baseline_step, baseline_run):
+            with pytest.raises(ValueError, match="agent 0 has 2 actions, game expects 3"):
+                run(matrix_game, three, BaselineOptions("mappo"))

@@ -1,6 +1,7 @@
 """Game and policy data model: constructors, validation, entropy, products."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ class TestPolicies:
     def test_floor_enforced(self):
         with pytest.raises(ValueError, match="floor"):
             AgentPolicy(0, np.array([[0.9, 0.1, 0.0]]), floor=0.05)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.1, True, "0", None], ids=repr)
+    def test_floor_must_be_a_finite_non_negative_number(self, floor):
+        # A NaN floor passed both comparisons; True was a floor of 1.
+        with pytest.raises(ValueError, match="policy floor must be finite and non-negative, got floor="):
+            AgentPolicy(0, np.array([[1.0]]), floor=floor)
+
+    @pytest.mark.parametrize("agent_id", [0.7, True, "0", None], ids=repr)
+    def test_agent_id_must_be_an_integer(self, agent_id):
+        message = f"an agent id must be an integer, got agent_id={agent_id!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AgentPolicy(agent_id, np.array([[1.0]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, value):

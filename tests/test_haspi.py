@@ -275,13 +275,19 @@ class TestHaspiSolve:
         with pytest.raises(ValueError, match="tolerance"):
             HaspiOptions(alpha=1.0, tol_policy=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, True, "1", None, np.bool_(True)], ids=repr
+    )
     def test_options_reject_non_finite(self, value):
         with pytest.raises(ValueError, match="temperature must be finite"):
             HaspiOptions(alpha=value)
         for key in ("tol_policy", "tol_eval"):
             with pytest.raises(ValueError, match="tolerances must be finite"):
                 HaspiOptions(alpha=1.0, **{key: value})
+
+    def test_options_take_numpy_numbers(self):
+        options = HaspiOptions(alpha=np.float64(2.0), tol_policy=np.float32(1e-6), tol_eval=1)
+        assert (options.alpha, options.tol_eval) == (2.0, 1)
 
 
 class TestMasacSolve:
@@ -684,7 +690,10 @@ def boundary_calls():
     }
 
 
-VIOLATIONS = ["agent count", "action count", "q shape", "agent out of range", "negative agent"]
+VIOLATIONS = [
+    "agent count", "action count", "q shape", "agent out of range", "negative agent",
+    "fractional agent", "float agent", "bool agent", "text agent", "no agent",
+]
 BOUNDARY_CASES = [
     (function, violation)
     for function in boundary_calls()
@@ -692,6 +701,9 @@ BOUNDARY_CASES = [
     # qre_residual takes no agent
     if function != "qre_residual" or violation in VIOLATIONS[:3]
 ]
+
+
+ID_RULE = r"an agent id must be an integer, got (agent|prefix\[0\])"
 
 
 class TestBoundaryChecks:
@@ -708,6 +720,12 @@ class TestBoundaryChecks:
             "q shape": ((jp, SoftQTable(1.0, np.zeros((2, 7))), 0), "shape"),
             "agent out of range": ((jp, q, 2), "out of range"),
             "negative agent": ((jp, q, -1), "out of range"),
+            # Named as "prefix[0]" by multiagent_soft_q, whose argument is the prefix.
+            "fractional agent": ((jp, q, 0.7), rf"{ID_RULE}=0\.7$"),
+            "float agent": ((jp, q, 1.0), rf"{ID_RULE}=1\.0$"),
+            "bool agent": ((jp, q, True), rf"{ID_RULE}=True$"),
+            "text agent": ((jp, q, "0"), rf"{ID_RULE}='0'$"),
+            "no agent": ((jp, q, None), rf"{ID_RULE}=None$"),
         }
 
     @pytest.mark.parametrize("function,violation", BOUNDARY_CASES)
@@ -729,12 +747,17 @@ class TestBoundaryChecks:
             (lambda g, jp, q: joint_action_prob(jp, 0, (0, -1)), r"joint_action\[1\]=-1"),
             (lambda g, jp, q: joint_action_prob(jp, 0, (0, 3)), r"in \[0, 3\).*joint_action\[1\]"),
             (lambda g, jp, q: joint_action_prob(jp, 0, (0.0, 0)), r"joint_action\[0\]=0.0"),
+            (lambda g, jp, q: policy_entropy(jp.agents[0], True), "state must be.* got s=True"),
+            (lambda g, jp, q: joint_kl_objective(g, q, jp, 1.0, True), "state must be.*s=True"),
+            (lambda g, jp, q: joint_action_prob(jp, False, (0, 0)), "state must be.*s=False"),
+            (lambda g, jp, q: joint_action_prob(jp, 0, (0, True)), r"joint_action\[1\]=True"),
         ],
         ids=[
             "entropy-negative-state", "entropy-state-past-end", "kl-negative-state",
             "kl-state-past-end", "prob-negative-state", "prob-short-action",
             "prob-long-action", "prob-negative-action", "prob-action-past-end",
-            "prob-float-action",
+            "prob-float-action", "entropy-bool-state", "kl-bool-state", "prob-bool-state",
+            "prob-bool-action",
         ],
     )
     def test_states_and_actions_named(self, call, message):
@@ -742,6 +765,27 @@ class TestBoundaryChecks:
         q = evaluate_policy_exact(self.game, jp, 1.0)
         with pytest.raises(ValueError, match=message):
             call(self.game, jp, q)
+
+    def test_a_bool_agent_is_named_before_the_updated_prefix(self):
+        jp = uniform_joint_policy(self.game)
+        q = evaluate_policy_exact(self.game, jp, 1.0)
+        with pytest.raises(ValueError, match="an agent id must be an integer, got agent=True"):
+            expected_conditional_q(self.game, q, jp, [jp.agents[1]], True, 1.0)
+
+    @pytest.mark.parametrize(
+        "ordering, k", [((0.5, 1), 0), ((0.5, 1.9), 0), ((0, True), 1), ((1, "0"), 1)], ids=repr
+    )
+    def test_orderings_must_hold_integers(self, ordering, k):
+        # The k-th entry is the first that is no integer; none is truncated.
+        for make, name in ((Permutation, "order"), (fixed_order, "ordering")):
+            message = re.escape(f"an agent id must be an integer, got {name}[{k}]={ordering[k]!r}")
+            with pytest.raises(ValueError, match=message):
+                make(ordering)
+
+    def test_orderings_take_numpy_integers(self):
+        order = (np.int64(1), np.int32(0))
+        assert Permutation(order).order == (1, 0)
+        assert fixed_order(order).sampler(2)(0) == (1, 0)
 
     @pytest.mark.parametrize("agent", [2, -1])
     def test_surrogate_agent_named(self, agent):
@@ -833,7 +877,9 @@ class TestArgumentChecks:
     game = random_game(2, 2, 2, (2, 3), -1.0, 1.0, 0.5)
     identity_game = new_matrix_game(np.eye(2))
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "alpha", [math.nan, math.inf, -math.inf, True, False, "1", None], ids=repr
+    )
     @pytest.mark.parametrize("function", sorted(temperature_calls()))
     def test_non_finite_temperature_named_before_any_evaluation(
         self, monkeypatch, function, alpha
@@ -872,6 +918,14 @@ class TestArgumentChecks:
              "tolerances must be finite and positive"),
             (lambda g, jp: masac_step(g, jp, 1.0, tol_eval=0.0),
              "tolerances must be finite and positive"),
+            (lambda g, jp: qre_fixed_point(g, 1.0, tol=True),
+             "tolerances must be finite and positive, got tol=True"),
+            (lambda g, jp: qre_fixed_point(g, 1.0, tol="1e-9"),
+             "tolerances must be finite and positive, got tol='1e-9'"),
+            (lambda g, jp: evaluate_policy_iterative(g, jp, 1.0, tol=True),
+             "tolerances must be finite and positive, got tol=True"),
+            (lambda g, jp: evaluate_policy_iterative(g, jp, 1.0, tol=None),
+             "tolerances must be finite and positive, got tol=None"),
         ],
         ids=[
             "qre_fixed_point-tol",
@@ -880,6 +934,10 @@ class TestArgumentChecks:
             "evaluate_policy_iterative-max_iters",
             "haspi_step-tol_eval",
             "masac_step-tol_eval",
+            "qre_fixed_point-bool-tol",
+            "qre_fixed_point-text-tol",
+            "evaluate_policy_iterative-bool-tol",
+            "evaluate_policy_iterative-no-tol",
         ],
     )
     def test_tolerance_and_cap_named_before_any_evaluation(self, monkeypatch, call, message):

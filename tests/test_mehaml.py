@@ -92,7 +92,7 @@ class TestKlDrift:
         with pytest.raises(ValueError):
             kl_drift(-0.1)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, False, "1", None], ids=repr)
     def test_non_finite_parameters_rejected(self, value):
         with pytest.raises(ValueError, match="KL drift coefficient must be finite"):
             kl_drift(value)
@@ -588,9 +588,12 @@ class TestHadfPropertyCheck:
             ({"epsilons": (1e-2, math.inf)}, "epsilons"),
             ({"n_directions": 0}, "n_directions"),
             ({"n_directions": -1}, "n_directions"),
+            ({"epsilons": (1e-2, True)}, "epsilons"),
+            ({"epsilons": (1e-2, "0.1")}, "epsilons"),
+            ({"n_directions": True}, "n_directions"),
         ],
         ids=["one", "none", "repeated", "zero", "negative", "nan", "inf", "no-directions",
-             "negative-directions"],
+             "negative-directions", "bool", "text", "bool-directions"],
     )
     def test_arguments_that_leave_no_slope_are_rejected(self, matrix_game, options, name):
         samples = self._samples(matrix_game)

@@ -142,6 +142,12 @@ class TestQreFixedPoint:
         with pytest.raises(ValueError, match="damping"):
             qre_fixed_point(matrix_game, 1.0, damping=0.0)
 
+    @pytest.mark.parametrize("damping", [True, "0.5", None, math.nan, 1.5], ids=repr)
+    def test_damping_named(self, matrix_game, damping):
+        # True would be a full step; text would fail inside the comparison.
+        with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\], got damping="):
+            qre_fixed_point(matrix_game, 1.0, damping=damping)
+
 
 def suite_oracle(k):
     """The benchmark suite's oracle run on game k: seeded start, cap 2,000."""
@@ -306,7 +312,7 @@ class TestUnilateralDeviation:
         with pytest.raises(ValueError, match="at most 4"):
             unilateral_deviation_gain(game, jp, 1.0)
 
-    @pytest.mark.parametrize("resolution", [0.0, math.nan, -0.5, 3.0, math.inf])
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, -0.5, 3.0, math.inf, True, "0.5"])
     def test_unusable_resolution_named(self, matrix_game, start_policy, resolution):
         with pytest.raises(ValueError, match=r"in \(0, 1\], got grid_resolution="):
             unilateral_deviation_gain(matrix_game, start_policy, 1.0, grid_resolution=resolution)

@@ -238,6 +238,15 @@ class TestMultiAgentSoftQ:
         with pytest.raises(ValueError, match="duplicate"):
             multiagent_soft_q(matrix_game, start_policy, q, (0, 0), 0.0)
 
+    @pytest.mark.parametrize("prefix", [(0.7,), (True,), (0, 1.0), ("1",)], ids=repr)
+    def test_prefix_ids_must_be_integers(self, matrix_game, start_policy, prefix):
+        # Neither truncated (0.7 to agent 0) nor read as agents (True as 1).
+        q = SoftQTable(0.0, matrix_game.reward)
+        with pytest.raises(ValueError, match=r"an agent id must be an integer, got prefix\["):
+            multiagent_soft_q(matrix_game, start_policy, q, prefix, 0.0)
+        with pytest.raises(ValueError, match=r"an agent id must be an integer, got prefix\["):
+            soft_dp.MultiAgentSoftQ(0.0, prefix, np.zeros((1, 3)))
+
     def test_internal_conditional_is_byte_identical(self):
         # Every ordered prefix of a 3-agent game, the full prefixes included,
         # whose einsum result is a transposed view before the C-layout copy.
@@ -657,6 +666,13 @@ class TestAdvantage:
         q = SoftQTable(0.0, matrix_game.reward)
         with pytest.raises(ValueError, match="overlap"):
             multiagent_soft_advantage(matrix_game, start_policy, q, (0,), (0, 1), 0.0)
+
+    def test_subset_ids_must_be_integers(self, matrix_game, start_policy):
+        q = SoftQTable(0.0, matrix_game.reward)
+        with pytest.raises(ValueError, match=r"got cond_subset\[0\]=0.5"):
+            multiagent_soft_advantage(matrix_game, start_policy, q, (0.5,), (1,), 0.0)
+        with pytest.raises(ValueError, match=r"got subset\[0\]=True"):
+            multiagent_soft_advantage(matrix_game, start_policy, q, (0,), (True,), 0.0)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(77)
