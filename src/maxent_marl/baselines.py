@@ -96,15 +96,21 @@ def surrogate_coefficients(
     A(s, a, a^-i) = r(s, a, a^-i) - E_pi[r]. Agents listed in
     ``ratio_policies`` contribute their *new* rows to the expectation
     (the importance ratio against the old policy cancels the old row),
-    everyone else stays at the old policy.
+    everyone else stays at the old policy. The ratio policies must be of
+    distinct agents of the game, each with its agent's action count.
     """
     tables = _checked_tables(game, joint_policy)
     (agent,) = _check_prefix(game, (_agent_id(agent, "agent"),))
-    updated = {p.agent_id: p.table for p in ratio_policies or ()}
-    if agent in updated:
+    ratio = tuple(ratio_policies or ())
+    if agent in _check_prefix(game, tuple(p.agent_id for p in ratio)):
         raise ValueError(f"agent {agent} cannot appear in ratio_policies")
-    mixed = [updated.get(j, t) for j, t in enumerate(tables)]
-    return _contract(game, mixed, game.reward - _plain_value(game, tables), (agent,))[0]
+    mixed = list(joint_policy.agents)
+    for policy in ratio:
+        mixed[policy.agent_id] = policy
+    _check_policy(game, JointPolicy(tuple(mixed)))
+    return _contract(
+        game, [p.table for p in mixed], game.reward - _plain_value(game, tables), (agent,)
+    )[0]
 
 
 def _order(game: CooperativeMarkovGame, options: BaselineOptions) -> Optional[tuple[int, ...]]:

@@ -37,20 +37,13 @@ import numpy as np
 
 from .baselines import BaselineOptions, baseline_run
 from .common import IterationRecord, SolveTrace
-from .game_core import (
-    CooperativeMarkovGame,
-    JointPolicy,
-    joint_action_table,
-    joint_policy_from_rows,
-)
+from .game_core import CooperativeMarkovGame, JointPolicy, joint_policy_from_rows
 from .haspi import (
     HaspiOptions,
     boltzmann_local_update,
     cyclic_order,
     fixed_order,
-    haspi_solve,
     haspi_solve_many,
-    masac_solve,
     masac_solve_many,
     random_order,
 )
@@ -133,12 +126,6 @@ def _haspi_options(spec: ExperimentSpec) -> HaspiOptions:
     )
 
 
-def _final_record(options: HaspiOptions, trace: SolveTrace):
-    """The last record holds the returned policy's exact evaluation, if the
-    solve evaluated exactly: what :func:`_final_stats` would compute."""
-    return trace.iterations[-1] if options.record_trace and options.eval_method == "exact" else None
-
-
 def _given(**fields: object) -> dict[str, object]:
     """The fields a spec sets. The solver takes the others from its own
     defaults, and rejects a set value it cannot run, such as a falsy one."""
@@ -146,15 +133,9 @@ def _given(**fields: object) -> dict[str, object]:
 
 
 def _final_stats(
-    game: CooperativeMarkovGame, policy: JointPolicy, alpha: Optional[float]
+    game: CooperativeMarkovGame, policy: JointPolicy, alpha: float
 ) -> tuple[float, float]:
-    if alpha is None:
-        # baselines: plain expected reward, no residual defined
-        value = float(
-            game.initial_dist
-            @ np.einsum("sa,sa->s", joint_action_table(policy), game.reward)
-        )
-        return value, float("nan")
+    """The final return and QRE residual of a soft run that has no record of them."""
     return maxent_return(game, policy, alpha), qre_residual(game, policy, alpha)
 
 
@@ -175,39 +156,57 @@ def run_experiment(
         raise ValueError(
             f"one run of solver {spec.solver!r} needs 'alpha'; 'alphas' is read by sweep-alpha"
         )
-    return _run_on_game(spec, resolve_game(spec), out_dir, write)[0]
+    game = resolve_game(spec)
+    return _finished(spec, game, _solved(game, [spec])[0], out_dir, write)[0]
 
 
-def _run_on_game(
-    spec: ExperimentSpec,
-    game: CooperativeMarkovGame,
-    out_dir: str | Path | None,
-    write: bool,
-) -> tuple[ResultRecord, list[str]]:
-    """:func:`run_experiment` on a resolved game; also returns the written
-    trace CSV lines (none when ``write`` is false)."""
-    initial = initial_policy_for(game, spec.initial_policy)
-    alpha = spec.alpha
+# A solved spec: its final policy, its trace, the trace's record that
+# describes the policy (None if none does) and the solve's wall time.
+Solved = tuple[JointPolicy, SolveTrace, Optional[IterationRecord], float]
+
+
+def _solved(game: CooperativeMarkovGame, specs: Sequence[ExperimentSpec]) -> list[Solved]:
+    """Each spec's solve, for specs that share a solver and a start.
+
+    Specs of haspi or masac are solved together, in one
+    :func:`haspi_solve_many` or :func:`masac_solve_many`, each with the
+    bits of its own solve (a batch of one runs that solve's own loop), and
+    share the call's wall time. The other solvers run one spec at a time.
+    """
+    initial = initial_policy_for(game, specs[0].initial_policy)
+    solver = specs[0].solver
+    if solver in ("haspi", "masac"):
+        solve_many = haspi_solve_many if solver == "haspi" else masac_solve_many
+        start = time.perf_counter()
+        results = solve_many(game, [initial] * len(specs), [_haspi_options(s) for s in specs])
+        seconds = time.perf_counter() - start
+        solved = [(policy, trace, seconds) for policy, _q, trace in results]
+    else:
+        solved = [_solved_alone(game, initial, spec) for spec in specs]
+    return [
+        (policy, trace, _record(spec, trace), seconds)
+        for spec, (policy, trace, seconds) in zip(specs, solved)
+    ]
+
+
+def _solved_alone(
+    game: CooperativeMarkovGame, initial: JointPolicy, spec: ExperimentSpec
+) -> tuple[JointPolicy, SolveTrace, float]:
+    """A mehaml, oracle or baseline spec's final policy, trace and wall time."""
     start = time.perf_counter()
-
-    if spec.solver in ("haspi", "masac", "mehaml"):
-        options = _haspi_options(spec)
-        if spec.solver == "mehaml":
-            drift_cfg = dict(spec.drift or {"name": "trivial"})
-            drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
-            hood_cfg = dict(spec.neighborhood or {"name": "full"})
-            hood = NEIGHBORHOODS[hood_cfg.pop("name")](**hood_cfg)
-            policy, trace = mehaml_solve(
-                game, initial, alpha, drift, hood, options=options, **_given(mode=spec.mode)
-            )
-        else:
-            solve = haspi_solve if spec.solver == "haspi" else masac_solve
-            policy, _q, trace = solve(game, initial, options)
-        final_record = _final_record(options, trace)
+    if spec.solver == "mehaml":
+        drift_cfg = dict(spec.drift or {"name": "trivial"})
+        drift = DRIFTS[drift_cfg.pop("name")](**drift_cfg)
+        hood_cfg = dict(spec.neighborhood or {"name": "full"})
+        hood = NEIGHBORHOODS[hood_cfg.pop("name")](**hood_cfg)
+        policy, trace = mehaml_solve(
+            game, initial, spec.alpha, drift, hood, options=_haspi_options(spec),
+            **_given(mode=spec.mode),
+        )
     elif spec.solver == "qre-oracle":
         solution = qre_fixed_point(
             game,
-            alpha,
+            spec.alpha,
             initial_joint_policy=initial,
             record_trace=spec.record_trace,
             **_given(damping=spec.damping, tol=spec.tol_policy, max_iters=spec.max_iters),
@@ -215,10 +214,6 @@ def _run_on_game(
         policy = solution.joint_policy
         trace = solution.trace or SolveTrace(
             iterations=[], status=solution.status, sweeps=max(0, solution.iterations - 1)
-        )
-        # The best iterate is the first one with the smallest residual.
-        final_record = next(
-            (r for r in trace.iterations if r.qre_residual == solution.residual), None
         )
     else:  # mappo / happo
         options = BaselineOptions(
@@ -230,31 +225,42 @@ def _run_on_game(
         )
         trace = baseline_run(game, initial, options)
         policy = joint_policy_from_rows(list(trace.iterations[-1].policies))
-        final_record = None
-    seconds = time.perf_counter() - start
-    return _finished(spec, game, (policy, trace, final_record), seconds, out_dir, write)
+    return policy, trace, time.perf_counter() - start
+
+
+def _record(spec: ExperimentSpec, trace: SolveTrace) -> Optional[IterationRecord]:
+    """The trace's record of the returned policy, if it has one.
+
+    That is the oracle's best iterate, the first with the smallest
+    residual. For the other solvers it is the last record of a traced run
+    that evaluates exactly: a soft solve's holds the policy's exact
+    evaluation, and a baseline's its plain J, with no residual.
+    """
+    if not trace.iterations or spec.eval_method == "iterative":
+        return None
+    if spec.solver == "qre-oracle":
+        return min(trace.iterations, key=lambda r: r.qre_residual)
+    return trace.iterations[-1]
 
 
 def _finished(
     spec: ExperimentSpec,
     game: CooperativeMarkovGame,
-    solved: tuple[JointPolicy, SolveTrace, Optional[IterationRecord]],
-    seconds: float,
+    solved: Solved,
     out_dir: str | Path | None,
     write: bool,
 ) -> tuple[ResultRecord, list[str]]:
-    """The record of a solved spec, and its trace CSV and summary written
-    when ``write``: the part of :func:`_run_on_game` that a sweep's batched
-    branches share. ``solved`` holds the final policy, the trace and the
-    record that has the final statistics, if one has; ``seconds`` is the
-    solve's wall time, to which the time of the final statistics is added.
+    """The record of a solved spec, and its trace CSV lines, written with
+    the summary when ``write`` (none otherwise). The final statistics come
+    from the solve's record when it has one; their time is added to the
+    solve's wall time.
     """
     start = time.perf_counter()
-    policy, trace, final_record = solved
-    if final_record is not None:
-        final_return, final_residual = final_record.maxent_return, final_record.qre_residual
-    else:  # a baseline spec has no alpha
+    policy, trace, final_record, seconds = solved
+    if final_record is None:  # an untraced or iteratively evaluated soft run
         final_return, final_residual = _final_stats(game, policy, spec.alpha)
+    else:
+        final_return, final_residual = final_record.maxent_return, final_record.qre_residual
     record = ResultRecord(
         name=spec.name,
         solver=spec.solver,
@@ -356,10 +362,11 @@ def sweep_alpha(
     "eval_max_iters" when its iterative evaluation hit the cap and
     "error" for any other failure.
 
-    The branches of a haspi or masac spec are solved together, in one
+    The branches are solved as :func:`run_experiment` solves a spec, but
+    all in one step: those of a haspi or masac spec in one
     :func:`haspi_solve_many` or :func:`masac_solve_many`, with the bits
-    of their own solves. If that raises, every branch is solved on its
-    own, with its failure isolated as above. A batched branch's
+    of their own solves. If that step raises, every branch is solved on
+    its own, with its failure isolated as above. A batched branch's
     ``wall_clock_seconds`` is the wall time of the whole batched solve,
     which its branches share, plus that of its own final statistics.
     """
@@ -387,16 +394,17 @@ def sweep_alpha(
                 f"alphas[{j}]={spec.alphas[j]!r} and alphas[{k}]={spec.alphas[k]!r} "
                 f"share the branch name {branch.name!r}"
             )
-    solved = _solved_together(game, branches) if spec.solver in ("haspi", "masac") else None
+    try:
+        together = _solved(game, branches)
+    except Exception:  # then each branch's own solve reports its failure
+        together = [None] * len(branches)
     # Each branch's trace CSV with an alpha column in front.
     combined = ["alpha," + trace_csv_header(game)]
-    for k, branch in enumerate(branches):
+    for branch, solved in zip(branches, together):
         lines: list[str] = []
         try:
-            if solved is None:
-                record, lines = _run_on_game(branch, game, target, write)
-            else:
-                record, lines = _finished(branch, game, *solved[k], target, write)
+            solved = solved or _solved(game, [branch])[0]
+            record, lines = _finished(branch, game, solved, target, write)
         except Exception as exc:  # isolate per-branch failures
             status = "eval_max_iters" if isinstance(exc, EvaluationNotConverged) else "error"
             record = ResultRecord(
@@ -428,25 +436,6 @@ def sweep_alpha(
             json.dumps(summary, indent=2, sort_keys=True) + "\n",
         )
     return records
-
-
-def _solved_together(game: CooperativeMarkovGame, branches: list[ExperimentSpec]) -> Optional[list]:
-    """Each haspi or masac branch's ``(solved, seconds)`` for :func:`_finished`,
-    from one batched solve of all the branches; None if any of it raised,
-    so that the branches are solved one at a time instead."""
-    try:
-        initial = initial_policy_for(game, branches[0].initial_policy)
-        options = [_haspi_options(branch) for branch in branches]
-        solve_many = haspi_solve_many if branches[0].solver == "haspi" else masac_solve_many
-        start = time.perf_counter()
-        results = solve_many(game, [initial] * len(branches), options)
-        seconds = time.perf_counter() - start
-    except Exception:  # each branch's own solve reports its failure
-        return None
-    return [
-        ((policy, trace, _final_record(o, trace)), seconds)
-        for o, (policy, _q, trace) in zip(options, results)
-    ]
 
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:

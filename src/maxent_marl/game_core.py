@@ -23,7 +23,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .common import _agent_id, _agent_ids, _check_argument, _check_index, _is_real, _sup_norm
+from .common import (
+    _agent_id, _agent_ids, _check_argument, _check_index, _is_integer, _is_real, _sup_norm,
+)
 
 __all__ = [
     "CooperativeMarkovGame",
@@ -97,21 +99,11 @@ class CooperativeMarkovGame:
     n_joint_actions: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.action_counts)
+        n_agents, n_states, counts = _counts(self.n_agents, self.n_states, self.action_counts)
         object.__setattr__(self, "action_counts", counts)
-        object.__setattr__(self, "n_agents", int(self.n_agents))
-        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "n_agents", n_agents)
+        object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "gamma", float(self.gamma))
-        if self.n_agents < 1:
-            raise ValueError("a game needs at least one agent")
-        if self.n_states < 1:
-            raise ValueError("a game needs at least one state")
-        if len(counts) != self.n_agents:
-            raise ValueError(
-                f"action_counts has {len(counts)} entries for {self.n_agents} agents"
-            )
-        if any(c < 1 for c in counts):
-            raise ValueError(f"action counts must be positive, got {counts}")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         n_joint = math.prod(counts)
@@ -162,6 +154,27 @@ class CooperativeMarkovGame:
     def joint_actions(self) -> Iterator[tuple[int, ...]]:
         """Iterate over all joint actions in flat-index order."""
         return iter(np.ndindex(*self.action_counts))
+
+
+def _counts(n_agents, n_states, action_counts) -> tuple[int, int, tuple[int, ...]]:
+    """A game's counts as ints. A ValueError names a count that is no
+    integer (a bool is none, and nothing is truncated) or is not positive,
+    and action counts that are not one per agent; numpy's integers pass."""
+    counts = tuple(action_counts)
+    named = [("n_agents", n_agents), ("n_states", n_states)]
+    named += [(f"action_counts[{i}]", c) for i, c in enumerate(counts)]
+    for name, value in named:
+        if not _is_integer(value):
+            raise ValueError(f"a game's counts must be integers, got {name}={value!r}")
+    if n_agents < 1:
+        raise ValueError("a game needs at least one agent")
+    if n_states < 1:
+        raise ValueError("a game needs at least one state")
+    if len(counts) != n_agents:
+        raise ValueError(f"action_counts has {len(counts)} entries for {n_agents} agents")
+    if any(c < 1 for c in counts):
+        raise ValueError(f"action counts must be positive, got {counts}")
+    return int(n_agents), int(n_states), tuple(int(c) for c in counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,11 +344,7 @@ def random_game(
     drawn uniform and normalized; the initial distribution is uniform.
     """
     _check_argument("seed", seed, "seed")
-    counts = tuple(int(c) for c in action_counts)
-    if n_states < 1 or any(c < 1 for c in counts):
-        raise ValueError("state and action counts must be positive")
-    if len(counts) != n_agents:
-        raise ValueError(f"expected {n_agents} action counts, got {len(counts)}")
+    n_agents, n_states, counts = _counts(n_agents, n_states, action_counts)
     if not (math.isfinite(reward_low) and math.isfinite(reward_high)):
         raise ValueError("reward bounds must be finite")
     if reward_low > reward_high:
@@ -343,7 +352,7 @@ def random_game(
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)
-    n_joint = int(np.prod(counts))
+    n_joint = math.prod(counts)
     reward = rng.uniform(reward_low, reward_high, size=(n_states, n_joint))
     transition = rng.uniform(size=(n_states, n_joint, n_states))
     transition /= transition.sum(axis=2, keepdims=True)

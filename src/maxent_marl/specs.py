@@ -20,6 +20,7 @@ summary and is excluded from the determinism contract.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -169,9 +170,18 @@ def _numbers(key: str, value: Any, kind: str = "game") -> np.ndarray:
         raise ValueError(f"{kind} field {key!r} is not a regular array") from exc
     if array.dtype.kind == "O":  # JSON integers too large for int64, or not numbers
         array = np.array([_real(key, x, kind) for x in array.flat]).reshape(array.shape)
-    elif array.dtype.kind not in "iuf":
+    elif array.dtype.kind not in "iuf" or _holds_bool(value, array.ndim):
         raise ValueError(f"{kind} field {key!r} must hold numbers only, got {value!r}")
     return array.astype(np.float64, copy=False)
+
+
+def _holds_bool(value: Any, depth: int) -> bool:
+    """Whether ``value``, nested ``depth`` deep and regular, holds a bool or
+    a numpy bool: numpy reads one among numbers as 1 or 0."""
+    entries = [value]
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return not {bool, np.bool_}.isdisjoint(map(type, entries))
 
 
 def _integer(key: str, value: Any, kind: str = "game") -> int:

@@ -376,3 +376,22 @@ class TestBoundary:
         for run in (baseline_step, baseline_run):
             with pytest.raises(ValueError, match="agent 0 has 2 actions, game expects 3"):
                 run(matrix_game, three, BaselineOptions("mappo"))
+
+    @pytest.mark.parametrize(
+        "ratio, message",
+        [
+            ([AgentPolicy(5, np.full((1, 3), 1 / 3))], r"prefix \(5,\) is out of range for 2 agents"),
+            ([AgentPolicy(1, np.full((1, 2), 0.5))], "agent 1 has 2 actions, game expects 3"),
+            ([AgentPolicy(1, np.full((2, 3), 1 / 3))], "all agents must share the same state count"),
+            (
+                [AgentPolicy(1, np.full((1, 3), 1 / 3)), AgentPolicy(1, np.eye(3)[:1])],
+                r"prefix \(1, 1\) contains a duplicate agent",
+            ),
+            ([AgentPolicy(0, np.eye(3)[:1])], "agent 0 cannot appear in ratio_policies"),
+        ],
+        ids=["no agent of the game", "wrong action count", "wrong state count", "one agent twice",
+             "the agent itself"],
+    )
+    def test_ratio_policies_must_fit_the_game(self, matrix_game, start_policy, ratio, message):
+        with pytest.raises(ValueError, match=message):
+            surrogate_coefficients(matrix_game, start_policy, 0, ratio)

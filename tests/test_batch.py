@@ -119,6 +119,38 @@ def test_members_that_stop_apart(solver, eval_method, record_trace):
     assert len({sweeps for _status, sweeps in outcomes}) == len(outcomes)
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVES))
+def test_members_that_leave_right_after_a_flush(solver, monkeypatch):
+    # More members than half of a flush's records: every iterate flushes at
+    # first, and the next sweep reuses the flush's one-agent contractions,
+    # whose rows are gathered when a member leaves. Member j stops at sweep
+    # j + 1, or earlier once its sweeps stop moving it at all.
+    game, _n_agents, _alpha = suite_case(0)
+    n = haspi._RESIDUAL_BATCH // 2 + 4
+    options = [
+        HaspiOptions(
+            alpha=(0.1, 1.0, 5.0)[j % 3], tol_policy=1e-300, max_outer_iters=j + 1,
+            permutation_rule=random_order(j),
+        )
+        for j in range(n)
+    ]
+    starts = [random_start(game, j) for j in range(n)]
+    flushed = []  # the records of each flush
+    contractions = haspi._record_contractions
+
+    def counting(game, pending):
+        flushed.append(len(pending))
+        return contractions(game, pending)
+
+    monkeypatch.setattr(haspi, "_record_contractions", counting)
+    outcomes = assert_members_stand_alone(solver, game, starts, options)
+    assert all(sweeps <= j + 1 for j, (_status, sweeps) in enumerate(outcomes))
+    assert outcomes[:4] == [("max_iters", j + 1) for j in range(4)]
+    # The batch, solved first, flushed the start's records and then the
+    # first sweep's, before member 0 left.
+    assert flushed[:2] == [n, n]
+
+
 def counted(monkeypatch, name):
     """The calls made from here on to ``haspi.<name>``, by argument tuple."""
     calls = []

@@ -11,6 +11,8 @@ import pytest
 
 from maxent_marl import (
     GameValidationError,
+    cyclic_order,
+    fixed_order,
     load_experiment,
     load_game,
     new_matrix_game,
@@ -24,10 +26,11 @@ from maxent_marl.cli import (
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_REPLICATION_MISMATCH,
     main,
     replicate_appendix_b,
 )
-from maxent_marl.game_core import joint_policy_from_rows
+from maxent_marl.game_core import joint_action_table, joint_policy_from_rows
 from maxent_marl.soft_dp import EvaluationNotConverged
 from maxent_marl.specs import bundled_game_path, parse_experiment
 from conftest import MATRIX
@@ -156,6 +159,26 @@ class TestGameFiles:
             "ragged": (
                 {**base, "reward": [[[0.0, 1.0], [1.0]]]}, "'reward' is not a regular array"
             ),
+            # numpy reads a bool among numbers as 1 or 0
+            "boolean matrix entry": (
+                {"matrix": [[True, 0.0], [0.0, 1.0]]}, "'matrix' must hold numbers only"
+            ),
+            "boolean among integers": (
+                {"matrix": [[1, 0], [False, 1]]}, "'matrix' must hold numbers only"
+            ),
+            "boolean reward entry": (
+                {**base, "reward": [[[True, 1.0], [1.0, 0.0]]]}, "'reward' must hold numbers only"
+            ),
+            "boolean transition entry": (
+                {**base, "transition": [[[[True], [1.0]], [[1.0], [1.0]]]]},
+                "'transition' must hold numbers only",
+            ),
+            "boolean initial_dist entry": (
+                {**base, "states": 2, "reward": [[[0.0, 1.0], [1.0, 0.0]]] * 2,
+                 "transition": [[[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]]] * 2,
+                 "initial_dist": [True, 0.0]},
+                "'initial_dist' must hold numbers only",
+            ),
         }
         for name, (payload, message) in cases.items():
             path = tmp_path / f"{name}.game"
@@ -167,6 +190,11 @@ class TestGameFiles:
         path.write_text(json.dumps({**base, "n_agents": 2.0, "action_counts": [2, 2.0]}))
         game = load_game(path)
         assert (game.n_agents, game.action_counts) == (2, (2, 2))
+
+    def test_a_numpy_bool_among_numbers_is_named(self):
+        # A payload built in Python can hold one, which numpy reads as 1.0.
+        with pytest.raises(ValueError, match="'matrix' must hold numbers only"):
+            specs.parse_game({"matrix": [[np.True_, 0.0], [0.0, 1.0]]})
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.game"
@@ -329,8 +357,39 @@ class TestRunExperiment:
             payload["alpha"] = 1.0
         record = run_experiment(parse_experiment(payload), write=False)
         policy = joint_policy_from_rows(record.final_policy)
-        expected = cli._final_stats(game, policy, None if baseline else 1.0)
+        if baseline:  # the plain return, and no residual
+            expected = (float(joint_action_table(policy)[0] @ game.reward[0]), float("nan"))
+        else:
+            expected = cli._final_stats(game, policy, 1.0)
         assert repr((record.final_return, record.final_qre_residual)) == repr(expected)
+
+    @pytest.mark.parametrize("solver", ["mappo", "happo"])
+    def test_baseline_summary_return_is_the_last_traced_j(self, tmp_path, solver):
+        # From seeded Dirichlet starts, where a fresh sum can differ from the
+        # trace's in the last bits.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            start = [rng.dirichlet(np.ones(3)).tolist() for _agent in range(2)]
+            spec = parse_experiment({
+                "solver": solver, "game": MATRIX_GAME_JSON, "initial_policy": start,
+                "iterations": 7, "name": f"{solver}{seed}",
+            })
+            record = run_experiment(spec, out_dir=tmp_path)
+            summary = json.loads(Path(record.summary_path).read_text())
+            rows = Path(record.trace_path).read_text().splitlines()
+            last_j = rows[-1].split(",")[rows[0].split(",").index("J")]
+            assert repr(summary["final_return"]) == last_j, seed
+            assert summary["final_qre_residual"] is None
+
+    @pytest.mark.parametrize(
+        "permutation, rule", [("cyclic", cyclic_order()), ([1, 0], fixed_order((1, 0)))]
+    )
+    def test_permutation_rules(self, permutation, rule):
+        spec = parse_experiment({**HASPI_SPEC, "permutation": permutation, "max_iters": 4})
+        records = run_experiment(spec, write=False).trace.iterations
+        order = rule.sampler(2)
+        assert len(records) == 5
+        assert [r.permutation for r in records] == [None] + [order(k) for k in range(4)]
 
     def test_game_by_path(self, tmp_path):
         game_path = write_json(tmp_path / "g.game", MATRIX_GAME_JSON)
@@ -518,37 +577,33 @@ class TestCliInterface:
         assert code == EXIT_NOT_CONVERGED
 
     def test_evaluation_cap_exit_code(self, tmp_path, monkeypatch, capsys):
-        def capped(*args, **kwargs):
+        calls = []
+
+        def capped(game, starts, options):
+            calls.append([o.alpha for o in options])
             raise EvaluationNotConverged(100_000, 3e-3)
 
-        monkeypatch.setattr(cli, "haspi_solve", capped)
+        monkeypatch.setattr(cli, "haspi_solve_many", capped)
         spec_path = write_json(tmp_path / "run.json", {**HASPI_SPEC, "eval": "iterative"})
         assert main(["solve", spec_path, "--out", str(tmp_path), "--quiet"]) == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith("error: evaluation did not converge")
+        assert calls == [[HASPI_SPEC["alpha"]]]  # a run is a batch of one
 
     def test_sweep_branch_evaluation_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         # One branch's evaluation hits its cap and another fails otherwise;
         # the sweep goes on, and exits 2 as solve does for the capped branch.
         # The failures reach the batched solve of the branches, which then
-        # fails as a whole, and each branch's own solve.
-        solve, solve_many = cli.haspi_solve, cli.haspi_solve_many
-
-        def fail(options):
-            if options.alpha == 1.0:
-                raise EvaluationNotConverged(100_000, 3e-3)
-            if options.alpha == 2.0:
-                raise RuntimeError("boom")
-
-        def failing(game, start, options):
-            fail(options)
-            return solve(game, start, options)
+        # fails as a whole, and each branch's own solve, a batch of one.
+        solve_many = cli.haspi_solve_many
 
         def failing_many(game, starts, options):
             for member in options:
-                fail(member)
+                if member.alpha == 1.0:
+                    raise EvaluationNotConverged(100_000, 3e-3)
+                if member.alpha == 2.0:
+                    raise RuntimeError("boom")
             return solve_many(game, starts, options)
 
-        monkeypatch.setattr(cli, "haspi_solve", failing)
         monkeypatch.setattr(cli, "haspi_solve_many", failing_many)
         spec = {**HASPI_SPEC, "alpha": None, "alphas": [1.0, 2.0, 10.0], "name": "sw"}
         path = write_json(tmp_path / "sw.json", spec)
@@ -660,6 +715,10 @@ class TestCliInterface:
              "one run of solver 'haspi' needs 'alpha'; 'alphas' is read by sweep-alpha"),
             ({"solver": "qre-oracle", "game": MATRIX_GAME_JSON, "alphas": [1.0]},
              "one run of solver 'qre-oracle' needs 'alpha'"),
+            ({**HASPI_SPEC, "initial_policy": [[True, 0.0, 0.0], [0.6, 0.2, 0.2]]},
+             "'initial_policy[0]' must hold numbers only"),
+            ({**HASPI_SPEC, "initial_policy": [[0.6, 0.2, 0.2], [[1, 0, False]]]},
+             "'initial_policy[1]' must hold numbers only"),
         ],
     )
     def test_malformed_spec_fields_named(self, tmp_path, capsys, spec, message):
@@ -855,6 +914,73 @@ class TestReplication:
         assert main(["replicate-appendix-b", "--quiet"]) == EXIT_OK
 
 
+class TestConsoleOutput:
+    """What the commands print without --quiet."""
+
+    def test_solve_prints_the_record(self, tmp_path, capsys):
+        path = write_json(tmp_path / "run.json", HASPI_SPEC)
+        assert main(["solve", path, "--out", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert lines[0] == (
+            f"run: solver=haspi  status=converged  iterations={summary['iterations']}  "
+            f"J={summary['final_return']:.6g}  qre_residual={summary['final_qre_residual']:.6g}"
+        )
+        assert [line.split(":")[0] for line in lines[1:]] == ["  agent 0 state 0", "  agent 1 state 0"]
+
+    def test_a_baseline_prints_no_residual(self, tmp_path, capsys):
+        spec = {"solver": "happo", "game": MATRIX_GAME_JSON, "iterations": 5, "name": "h"}
+        assert main(["baseline", write_json(tmp_path / "h.json", spec), "--out", str(tmp_path)]) == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        summary = json.loads((tmp_path / "h_summary.json").read_text())
+        assert first == "h: solver=happo  status=max_iters  iterations=5  " + (
+            f"J={summary['final_return']:.6g}"
+        )
+
+    def test_a_failed_sweep_branch_prints_its_error(self, tmp_path, monkeypatch, capsys):
+        solve_many = cli.haspi_solve_many
+
+        def failing_many(game, starts, options):
+            if any(o.alpha == 2.0 for o in options):
+                raise RuntimeError("boom")
+            return solve_many(game, starts, options)
+
+        monkeypatch.setattr(cli, "haspi_solve_many", failing_many)
+        spec = {**HASPI_SPEC, "alpha": None, "alphas": [1.0, 2.0], "name": "sw"}
+        path = write_json(tmp_path / "sw.json", spec)
+        assert main(["sweep-alpha", path, "--out", str(tmp_path)]) == EXIT_INVALID
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "error=" in line] == [
+            "sw_alpha2: solver=haspi  status=error  iterations=0  J=nan  error=boom"
+        ]
+        assert lines[0].startswith("sw_alpha1: solver=haspi  status=converged  ")
+
+    def test_replication_prints_the_table(self, monkeypatch, capsys):
+        monkeypatch.delenv("MAXENT_MARL_OUT", raising=False)
+        assert main(["replicate-appendix-b"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[: line.index("first")] for line in lines[:-1]] == [
+            f"alpha={alpha:<4g} " for alpha in cli.REPLICATION_ALPHAS
+        ]
+        assert lines[-1] == "all 36 cells within tolerance 5e-4"
+
+    def test_a_replication_mismatch_is_printed(self, monkeypatch, capsys):
+        monkeypatch.delenv("MAXENT_MARL_OUT", raising=False)
+        first, convergent = cli.REFERENCE_TABLE[1.0]
+        monkeypatch.setitem(cli.REFERENCE_TABLE, 1.0, ((0.5, *first[1:]), convergent))
+        assert main(["replicate-appendix-b", "--quiet"]) == EXIT_REPLICATION_MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "mismatch: alpha=1 first-update p1: got 0.998966, want 0.5000"
+        ]
+
+    def test_a_sweep_needs_alphas(self, tmp_path, capsys):
+        path = write_json(tmp_path / "run.json", HASPI_SPEC)
+        assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: sweep requires a non-empty 'alphas' list\n"
+
+
 def branch_outputs(directory, name, alphas):
     """Each branch's trace CSV bytes and summary (without its wall clock),
     and its rows of the sweep's combined CSV."""
@@ -872,7 +998,7 @@ def branch_outputs(directory, name, alphas):
 class TestBatchedSweeps:
     """sweep-alpha over haspi or masac, and replicate-appendix-b, solve their
     temperatures in one batched call; a failing batch falls back to one
-    solve per branch."""
+    solve per branch, a batched call of one member."""
 
     SPEC = {
         "game": {"matrix": [[2.0, 0.0, -1.0], [0.0, 1.0, 0.5], [-1.0, 0.5, 3.0]]},
@@ -883,19 +1009,17 @@ class TestBatchedSweeps:
     }
 
     def solves(self, monkeypatch, fail_alpha=None):
-        """Record the batched and the single solves the CLI makes; the batch,
-        and the single solve at ``fail_alpha``, raise."""
-        calls = {"many": [], "single": []}
-        for name, key in (("haspi_solve_many", "many"), ("masac_solve_many", "many"),
-                          ("haspi_solve", "single"), ("masac_solve", "single")):
+        """Record the members' temperatures of each batched solve the CLI
+        makes, in order; every solve that holds ``fail_alpha`` raises."""
+        calls = []
+        for name in ("haspi_solve_many", "masac_solve_many"):
             function = getattr(cli, name)
 
-            def solve(game, start, options, function=function, key=key):
-                members = options if key == "many" else [options]
-                calls[key].append([o.alpha for o in members])
-                if fail_alpha in [o.alpha for o in members]:
+            def solve(game, starts, options, function=function):
+                calls.append([o.alpha for o in options])
+                if fail_alpha in calls[-1]:
                     raise RuntimeError("boom")
-                return function(game, start, options)
+                return function(game, starts, options)
 
             monkeypatch.setattr(cli, name, solve)
         return calls
@@ -905,13 +1029,13 @@ class TestBatchedSweeps:
         calls = self.solves(monkeypatch)
         path = write_json(tmp_path / "b.json", {**self.SPEC, "solver": solver})
         assert main(["sweep-alpha", path, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
-        assert calls == {"many": [self.SPEC["alphas"]], "single": []}
+        assert calls == [self.SPEC["alphas"]]
 
     def test_replication_makes_one_batched_call(self, monkeypatch):
         calls = self.solves(monkeypatch)
         _rows, mismatches = replicate_appendix_b()
         assert mismatches == []
-        assert calls == {"many": [list(cli.REPLICATION_ALPHAS)], "single": []}
+        assert calls == [list(cli.REPLICATION_ALPHAS)]
 
     @pytest.mark.parametrize("solver", ["haspi", "masac"])
     def test_a_failed_batch_writes_the_same_branches(self, solver, tmp_path, monkeypatch):
@@ -923,7 +1047,7 @@ class TestBatchedSweeps:
         calls = self.solves(monkeypatch, fail_alpha=2.0)
         assert main(["sweep-alpha", write_json(tmp_path / "b.json", spec),
                      "--out", str(failed), "--quiet"]) == EXIT_INVALID
-        assert calls == {"many": [alphas], "single": [[alpha] for alpha in alphas]}
+        assert calls == [alphas] + [[alpha] for alpha in alphas]
         statuses = json.loads((failed / "b_sweep_summary.json").read_text())["statuses"]
         assert statuses == {"1": "converged", "2": "error", "5": "converged"}
         succeeded = [alpha for alpha in alphas if alpha != 2.0]

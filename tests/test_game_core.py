@@ -90,10 +90,60 @@ class TestRandomGame:
         with pytest.raises(ValueError, match=rf"non-negative integer, got seed={seed}"):
             random_game(seed, 2, 3, [2, 2], -1.0, 1.0, 0.9)
 
+    @pytest.mark.parametrize(
+        "n_agents, n_states, counts, name",
+        [
+            (2, 1, (2.5, 2), r"action_counts\[0\]=2.5"),
+            (True, 1, (2,), "n_agents=True"),
+            (2, 2.5, (2, 2), "n_states=2.5"),
+            (2, 2.0, (2, 2), "n_states=2.0"),
+            (1, 1, (False,), r"action_counts\[0\]=False"),
+        ],
+        ids=["fractional action count", "bool agents", "fractional states", "float states",
+             "bool action count"],
+    )
+    def test_counts_must_be_integers(self, n_agents, n_states, counts, name):
+        # Nothing is truncated, and a bool is no count.
+        with pytest.raises(ValueError, match=f"a game's counts must be integers, got {name}$"):
+            random_game(0, n_agents, n_states, counts, -1.0, 1.0, 0.5)
+
+    def test_counts_take_numpy_integers(self):
+        game = random_game(7, np.int64(2), np.int32(3), (np.int8(2), np.uint8(2)), -1.0, 1.0, 0.9)
+        assert (game.n_agents, game.n_states, game.action_counts) == (2, 3, (2, 2))
+        assert all(type(c) is int for c in (game.n_agents, game.n_states, *game.action_counts))
+        assert game.reward.tobytes() == random_game(7, 2, 3, [2, 2], -1.0, 1.0, 0.9).reward.tobytes()
+
+    def test_one_count_per_agent(self):
+        with pytest.raises(ValueError, match="action_counts has 1 entries for 2 agents"):
+            random_game(0, 2, 1, (2,), -1.0, 1.0, 0.5)
+
     def test_reward_bounds_respected(self):
         game = random_game(3, 2, 2, [2, 3], -0.5, 2.5, 0.5)
         assert game.reward.min() >= -0.5
         assert game.reward.max() <= 2.5
+
+
+class TestGameCounts:
+    ARRAYS = (np.zeros((1, 2)), np.ones((1, 2, 1)), 0.0, np.ones(1))
+
+    @pytest.mark.parametrize(
+        "n_agents, n_states, counts, name",
+        [
+            (True, 1, (2,), "n_agents=True"),
+            (1.0, 1, (2,), "n_agents=1.0"),
+            (1, np.True_, (2,), "n_states=np.True_"),
+            (1, 1, (2.0,), r"action_counts\[0\]=2.0"),
+        ],
+        ids=["bool agents", "float agents", "numpy bool states", "float action count"],
+    )
+    def test_counts_must_be_integers(self, n_agents, n_states, counts, name):
+        with pytest.raises(ValueError, match=f"a game's counts must be integers, got {name}$"):
+            CooperativeMarkovGame(n_agents, n_states, counts, *self.ARRAYS)
+
+    def test_counts_take_numpy_integers(self):
+        game = CooperativeMarkovGame(np.int64(1), np.uint8(1), (np.int32(2),), *self.ARRAYS)
+        assert (game.n_agents, game.n_states, game.action_counts) == (1, 1, (2,))
+        assert all(type(c) is int for c in (game.n_agents, game.n_states, *game.action_counts))
 
 
 class TestValidateGame:
