@@ -20,8 +20,9 @@ policies instead of conditioning on the updated prefix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .game_core import (
     CooperativeMarkovGame,
     JointPolicy,
     Permutation,
+    _joint_table,
     _table_logs,
     joint_policy_from_rows,
 )
@@ -47,6 +49,7 @@ from .soft_dp import (
     SoftQTable,
     _agent_coefficients,
     _check_evaluated,
+    _check_policy,
     _check_prefix,
     _checked_arrays,
     _conditional_q,
@@ -179,7 +182,9 @@ def expected_conditional_q(
     averages the updated agents' axes under their new rows. Agents outside
     the prefix stay at their old policies through the conditional table.
     The sweeps compute the same coefficients in one contraction per agent
-    (:func:`_sweep`); this chain is their reference.
+    (:func:`_sweep`); this chain is their reference. The updated policies
+    must be of distinct agents of the game, each with the game's state
+    count and its agent's action count.
     """
     prefix_ids = tuple(p.agent_id for p in updated_prefix)
     agent = _agent_id(agent, "agent")
@@ -187,6 +192,7 @@ def expected_conditional_q(
         raise ValueError(f"agent {agent} already appears in the updated prefix")
     _check_evaluated(game, joint_policy_old, q_old, alpha)
     prefix = _check_prefix(game, prefix_ids + (agent,))
+    _check_policy(game, functools.reduce(JointPolicy.replace, updated_prefix, joint_policy_old))
     values = _conditional_q(game, joint_policy_old, q_old.values, prefix, alpha)
     for policy in updated_prefix:
         values = np.einsum("sa...,sa->s...", values, policy.table)
@@ -378,10 +384,34 @@ def masac_step(
 # the per-call cost of the contractions and the softmax thin, few enough to
 # keep what is held for them small.
 _RESIDUAL_BATCH = 64
-# The records awaiting their contractions hold at most this many bytes of
-# soft Q between them. A solve whose Q alone is larger, such as a 5 x 5 x 20
-# game's 0.5 MB, contracts every record at its own snapshot, unstacked.
+# The records awaiting their flush hold at most this many bytes of soft Q
+# between them. A solve whose Q alone is larger, such as a 5 x 5 x 20 game's
+# 0.5 MB, flushes every iterate at its own snapshot, unstacked.
 _PENDING_Q_BYTES = 256 * 1024
+
+
+class Iterate(NamedTuple):
+    """A traced iterate awaiting its flush, by reference to what it was
+    evaluated on. Its soft Q and entropy bonus wait beside it, and are not
+    kept past the flush."""
+
+    k: int
+    orders: Optional[list]  # the members' orderings; None in a simultaneous sweep
+    changes: list[float]  # the members' policy changes
+    active: list[int]  # the members
+    tables: list[np.ndarray]  # per agent, each member's rows laid end to end
+
+
+class Flushed(NamedTuple):
+    """A flush awaiting its residuals (see :func:`_flushed`), its records'
+    states laid end to end."""
+
+    temperatures: list[float]  # per record, its member's
+    iterates: list[Iterate]
+    values: np.ndarray
+    returns: list[float]
+    tables: list[np.ndarray]  # per agent
+    coefficients: list[np.ndarray]  # per agent, its one-agent contractions
 
 
 def _temperatures(alphas: list[float], n_states: int):
@@ -442,19 +472,19 @@ def _policy_iteration_loop(
     ``record_trace`` must agree. A batch of one runs the same code, on one
     member's rows.
 
-    A traced iterate's record waits, as a tuple of its member and fields
-    but the residual and holding its read-only Q, until a flush
-    contracts it (:func:`_record_contractions`). A flush comes when one
-    more iterate's records would take the waiting ones past ``batch``:
-    ``_RESIDUAL_BATCH`` records, or fewer when their Q would pass
-    ``_PENDING_Q_BYTES``. Every member's Q has the same size, so ``batch``
-    is fixed per solve; a batch of more members than that flushes at every
-    iterate. A flush always ends at the current iterate: the next sweep
-    reuses that iterate's one-agent contractions for its agents with no
-    prefix. After an iterate that did not flush, the sweep contracts for
-    itself, as in an untraced run, to the same bits. The contracted
-    records then wait for their residuals, about ``_RESIDUAL_BATCH`` of
-    them, to share one softmax per agent (:func:`_with_residuals`).
+    A traced iterate waits, as references to what it was evaluated on (an
+    :class:`Iterate`, its Q and its entropy bonus), until a flush makes its
+    records (:func:`_flushed`). A flush comes when one more iterate's
+    records would take the waiting ones past ``batch``: ``_RESIDUAL_BATCH``
+    records, or fewer when their Q would pass ``_PENDING_Q_BYTES``. Every
+    member's Q has the same size, so ``batch`` is fixed per solve; a batch
+    of more members than that flushes at every iterate. A flush always ends
+    at the current iterate: the next sweep reuses that iterate's one-agent
+    contractions for its agents with no prefix. After an iterate that did
+    not flush, the sweep contracts for itself, as in an untraced run, to the
+    same bits. The flushed records then wait for their residuals, about
+    ``_RESIDUAL_BATCH`` of them, to share one softmax per agent
+    (:func:`_with_residuals`).
     """
     if len(starts) != len(options):
         raise ValueError(f"{len(starts)} start policies for {len(options)} options")
@@ -478,37 +508,32 @@ def _policy_iteration_loop(
     tols = [o.tol_policy for o in options]
     caps = [o.max_outer_iters for o in options]
     records: list[list[IterationRecord]] = [[] for _ in starts]
-    # Traced iterates: their member and record fields but the residual, and
-    # their soft Q.
-    pending: list[tuple[tuple, np.ndarray]] = []
-    # Contracted flushes awaiting their residuals (see _record_contractions).
-    contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]] = []
+    pending: list[Iterate] = []
+    pending_q: list[np.ndarray] = []
+    pending_bonus: list[np.ndarray] = []
+    held = 0  # the pending iterates' records
+    flushed: list[Flushed] = []  # awaiting their residuals
     batch = min(_RESIDUAL_BATCH, max(1, _PENDING_Q_BYTES // (q.nbytes // len(active))))
 
     def flush() -> list[np.ndarray]:
-        contracted.append(_record_contractions(game, pending))
-        pending.clear()
-        coefficients = contracted[-1][2]
-        if sum(len(fields) for fields, _, _ in contracted) + batch > _RESIDUAL_BATCH:
-            _with_residuals(contracted, game.n_agents, alphas, records)
+        nonlocal pending, pending_q, pending_bonus, held
+        # A flush of one iterate is the current one, whose joint table is at hand.
+        current = joint if len(pending) == 1 else None
+        flushed.append(_flushed(game, pending, pending_q, pending_bonus, current, alphas))
+        pending, pending_q, pending_bonus, held = [], [], [], 0
+        coefficients = flushed[-1].coefficients
+        if sum(len(f.temperatures) for f in flushed) + batch > _RESIDUAL_BATCH:
+            _with_residuals(flushed, n_states, records)
         # The current iterate's rows, which the next sweep reuses.
         return [c[-q.shape[0] :] for c in coefficients]
 
     def snapshot(k, orders, changes) -> Optional[list[np.ndarray]]:
-        values = _policy_value(joint, q, bonus, alpha)
-        values.flags.writeable = False
-        n = len(active)
-        for j, member in enumerate(active):
-            # A single member's record holds the arrays themselves.
-            member_values, member_q, tables = values, q, arrays[0]
-            if n > 1:
-                rows = slice(j * n_states, (j + 1) * n_states)
-                member_values, member_q, tables = values[rows], q[rows], [t[rows] for t in tables]
-            ret = float(game.initial_dist @ member_values)
-            order = None if orders is None else orders[j]
-            fields = (member, k, order, changes[j], ret, member_values, tuple(tables))
-            pending.append((fields, member_q))
-        return flush() if len(pending) + n > batch else None
+        nonlocal held
+        pending.append(Iterate(k, orders, changes, active, arrays[0]))
+        pending_q.append(q)
+        pending_bonus.append(bonus)
+        held += len(active)
+        return flush() if held + len(active) > batch else None
 
     record_trace = first.record_trace
     reuse = snapshot(0, None, [0.0] * len(active)) if record_trace else None
@@ -550,7 +575,7 @@ def _policy_iteration_loop(
         alpha = _temperatures([alphas[member] for member in active], n_states)
     if pending:
         flush()
-    _with_residuals(contracted, game.n_agents, alphas, records)
+    _with_residuals(flushed, n_states, records)
     return [
         (
             joint_policy_from_rows(tables),
@@ -571,51 +596,75 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
-def _record_contractions(
-    game: CooperativeMarkovGame, pending: list[tuple[tuple, np.ndarray]]
-) -> tuple[list[tuple], list[np.ndarray], list[np.ndarray]]:
-    """The pending records' fields, and per agent their policy tables and
-    one-agent contractions, the records' states laid end to end.
-
-    One :func:`_contract` per agent serves every record, each with the
-    bits of its own call, on which the sweeps' ``reuse`` relies. A
-    record's fields end with its policy tables.
-    """
-    fields = [f for f, _ in pending]
-    tables = [_joined([f[-1][i] for f in fields]) for i in range(game.n_agents)]
-    q_values = _joined([q for _, q in pending])
-    return fields, tables, _agent_coefficients(game, tables, q_values)
-
-
-def _with_residuals(
-    contracted: list[tuple[list[tuple], list[np.ndarray], list[np.ndarray]]],
-    n_agents: int,
+def _flushed(
+    game: CooperativeMarkovGame,
+    iterates: list[Iterate],
+    q: list[np.ndarray],
+    bonus: list[np.ndarray],
+    joint: Optional[np.ndarray],
     alphas: list[float],
-    records: list[list[IterationRecord]],
-) -> None:
-    """Append the records of the contracted flushes to their members' lists
-    in ``records``, and clear the flushes. Each QRE residual comes from one
-    softmax per agent over all of them, at its member's temperature in
-    ``alphas``."""
-    if not contracted:
+) -> Flushed:
+    """The records but their residuals of the iterates, evaluated on ``q``
+    and ``bonus``, the records' states laid end to end.
+
+    One :func:`_policy_value` gives every record's values, each member's
+    at its own temperature in ``alphas``, and one ``np.vecdot`` every
+    return, with the bits of ``initial_dist @ values`` per record. One
+    :func:`_contract` per agent serves every record, each with the bits of
+    its own call, on which the sweeps' ``reuse`` relies. ``joint`` is the
+    joint table of a single iterate; of several, their tables make it
+    again. The flush holds no Q, which would otherwise outlive the cap on
+    it while the records wait for their residuals.
+    """
+    tables = [_joined([it.tables[i] for it in iterates]) for i in range(game.n_agents)]
+    q_values = _joined(q)
+    if joint is None:
+        joint = _joint_table(tables)
+    temperatures = [alphas[member] for it in iterates for member in it.active]
+    alpha = _temperatures(temperatures, game.n_states)
+    values = _policy_value(joint, q_values, _joined(bonus), alpha)
+    values.flags.writeable = False
+    returns = np.vecdot(values.reshape(-1, game.n_states), game.initial_dist).tolist()
+    coefficients = _agent_coefficients(game, tables, q_values)
+    return Flushed(temperatures, iterates, values, returns, tables, coefficients)
+
+
+def _with_residuals(flushed: list[Flushed], n_states: int, records: list[list[IterationRecord]]) -> None:
+    """Append the flushed records to their members' lists in ``records``,
+    and clear the flushes. Each QRE residual comes from one softmax per
+    agent over all of them, at its member's temperature."""
+    if not flushed:
         return
-    fields = [f for chunk, _, _ in contracted for f in chunk]
+    temperatures = [t for f in flushed for t in f.temperatures]
 
     def stacked(arrays):
         rows = _joined(arrays)
-        return rows.reshape(len(fields), -1, rows.shape[-1])
+        return rows.reshape(len(temperatures), -1, rows.shape[-1])
 
-    tables = [stacked([t[i] for _, t, _ in contracted]) for i in range(n_agents)]
-    coefficients = [stacked([c[i] for _, _, c in contracted]) for i in range(n_agents)]
-    temperatures = [alphas[f[0]] for f in fields]
+    n_agents = len(flushed[0].tables)
+    tables = [stacked([f.tables[i] for f in flushed]) for i in range(n_agents)]
+    coefficients = [stacked([f.coefficients[i] for f in flushed]) for i in range(n_agents)]
     if len(set(temperatures)) == 1:
         alpha = temperatures[0]
     else:
         alpha = np.array(temperatures)[:, None, None]
-    residuals = _logit_responses(tables, coefficients, alpha)[1].tolist()
-    for (member, k, order, change, ret, values, policies), residual in zip(fields, residuals):
-        records[member].append(IterationRecord(k, order, change, ret, values, residual, policies))
-    contracted.clear()
+    residuals = iter(_logit_responses(tables, coefficients, alpha)[1].tolist())
+    for f in flushed:
+        r = 0  # the record's position in its flush
+        for k, orders, changes, active, iterate_tables in f.iterates:
+            for j, member in enumerate(active):
+                # A single member's record holds the iterate's tables themselves.
+                if len(active) == 1:
+                    policies = tuple(iterate_tables)
+                else:
+                    policies = tuple(t[j * n_states : (j + 1) * n_states] for t in iterate_tables)
+                order = None if orders is None else orders[j]
+                rows = f.values[r * n_states : (r + 1) * n_states]
+                records[member].append(
+                    IterationRecord(k, order, changes[j], f.returns[r], rows, next(residuals), policies)
+                )
+                r += 1
+    flushed.clear()
 
 
 def haspi_solve(

@@ -110,15 +110,30 @@ class DriftFunctional:
         """The drift of agent ``prefix[-1]``'s ``candidate_rows[k]`` at state
         ``states[k]``, for every k.
 
-        Returns shape (len(states),). This default builds the old joint
-        policy and the prefix's new policies from the arrays and calls
-        ``__call__`` once per row.
+        Returns shape (len(states),). This default calls ``__call__`` once
+        per row, through :meth:`rows_for`.
         """
+        return self.rows_for(game, old, new, prefix)(candidate_rows, states)
+
+    def rows_for(self, game, old, new, prefix):
+        """:meth:`rows` at these arguments, as a function of
+        ``(candidate_rows, states)``, for a caller that asks for many rows
+        of one agent update, as the line search's steps do. For a drift
+        that defines ``__call__`` alone, the old joint policy and the
+        prefix's new policies are built here, once for every call of the
+        function.
+        """
+        if type(self).rows is not DriftFunctional.rows:
+            return functools.partial(self.rows, game, old, new, prefix)
         joint_policy, agent = joint_policy_from_rows(old[0]), prefix[-1]
         updated_prefix = [AgentPolicy(i, new[0][i]) for i in prefix[:-1]]
-        calls = zip(candidate_rows, states)
-        values = [self(game, joint_policy, agent, row, int(s), updated_prefix) for row, s in calls]
-        return np.array(values, dtype=np.float64)
+
+        def rows(candidate_rows, states):
+            calls = zip(candidate_rows, states)
+            values = [self(game, joint_policy, agent, row, int(s), updated_prefix) for row, s in calls]
+            return np.array(values, dtype=np.float64)
+
+        return rows
 
 
 def _sweep_arrays(
@@ -321,10 +336,10 @@ def _mirror_rule(
             raise RuntimeError("mirror update produced a non-finite row")
         if not needs_backtrack:
             return target
+        drift_rows = drift.rows_for(game, old, new, prefix)  # one for every backtracking step
 
         def mirror_values(states, rows, entropy=None):
-            drift_values = drift.rows(game, old, new, prefix, rows, states)
-            return _mirror_values(coef[states], rows, alpha, drift_values, entropy)
+            return _mirror_values(coef[states], rows, alpha, drift_rows(rows, states), entropy)
 
         # Every state backtracks from t = 1 at once; a state leaves the
         # pending set at its first feasible step that does not lower its

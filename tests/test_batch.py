@@ -136,13 +136,13 @@ def test_members_that_leave_right_after_a_flush(solver, monkeypatch):
     ]
     starts = [random_start(game, j) for j in range(n)]
     flushed = []  # the records of each flush
-    contractions = haspi._record_contractions
+    flush = haspi._flushed
 
-    def counting(game, pending):
-        flushed.append(len(pending))
-        return contractions(game, pending)
+    def counting(game, iterates, *args):
+        flushed.append(sum(len(it.active) for it in iterates))
+        return flush(game, iterates, *args)
 
-    monkeypatch.setattr(haspi, "_record_contractions", counting)
+    monkeypatch.setattr(haspi, "_flushed", counting)
     outcomes = assert_members_stand_alone(solver, game, starts, options)
     assert all(sweeps <= j + 1 for j, (_status, sweeps) in enumerate(outcomes))
     assert outcomes[:4] == [("max_iters", j + 1) for j in range(4)]

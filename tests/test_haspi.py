@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -489,14 +490,14 @@ class TestBatchedRecords:
         game = suite_game(k, n_agents, n_states, counts, gamma)
         cap = int(cap_records * q_nbytes(game))
         monkeypatch.setattr(haspi, "_PENDING_Q_BYTES", cap)
-        flushes = []
-        contract = haspi._record_contractions
+        flushes = []  # each flush's (records, bytes of soft Q held for them)
+        flushed = haspi._flushed
 
-        def counted(game, pending):
-            flushes.append((len(pending), sum(q.nbytes for _, q in pending)))
-            return contract(game, pending)
+        def counted(game, iterates, q, *args):
+            flushes.append((sum(len(it.active) for it in iterates), sum(x.nbytes for x in q)))
+            return flushed(game, iterates, q, *args)
 
-        monkeypatch.setattr(haspi, "_record_contractions", counted)
+        monkeypatch.setattr(haspi, "_flushed", counted)
         options = HaspiOptions(alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k))
         _policy, trace = mehaml_solve(
             game, random_start(game, k), alpha, kl_drift(1.0), full_neighborhood(), options=options
@@ -507,6 +508,34 @@ class TestBatchedRecords:
             assert (n, held) == (expected_batch, expected_batch * q_nbytes(game))
         assert all(held <= cap or n == 1 for n, held in flushes)
         assert len(flushes) == math.ceil(records / expected_batch)
+
+    @pytest.mark.parametrize("solver", ["haspi", "mehaml"])
+    def test_flushed_records_hold_no_q(self, solver, monkeypatch):
+        # One record per flush, and 64 flushes per softmax: the records
+        # waiting for their residuals must not keep their iterates' Q alive.
+        k, n_agents, n_states, counts, gamma, alpha = TRACE_GAMES[2]
+        game = suite_game(k, n_agents, n_states, counts, gamma)
+        monkeypatch.setattr(haspi, "_PENDING_Q_BYTES", 1)
+        flushed_q = []  # weak references to the Q of every flushed iterate
+        alive = []  # at each flush, how many of the earlier ones are alive
+        flushed = haspi._flushed
+
+        def counted(game, iterates, q, *args):
+            alive.append(sum(ref() is not None for ref in flushed_q))
+            flushed_q.extend(weakref.ref(x) for x in q)
+            return flushed(game, iterates, q, *args)
+
+        monkeypatch.setattr(haspi, "_flushed", counted)
+        options = HaspiOptions(alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k))
+        if solver == "haspi":
+            trace = haspi_solve(game, random_start(game, k), options)[2]
+        else:
+            trace = mehaml_solve(
+                game, random_start(game, k), alpha, kl_drift(1.0), full_neighborhood(), options=options
+            )[1]
+        assert len(alive) == len(trace.iterations) > 2
+        # The loop's current iterate has the Q of the last flush; no earlier one is kept.
+        assert max(alive) <= 1
 
 
 def einsum_calls(monkeypatch, solve):
@@ -558,6 +587,88 @@ def test_a_trace_adds_one_contraction_per_agent_per_flush(k, solver, monkeypatch
     # One contraction per agent per record, less the next sweep's reuse of
     # one per iterate, would pass the bound.
     assert n_agents * records - (records - 1) > n_agents * flushes
+
+
+def policy_value_calls(monkeypatch, solve):
+    """How many times ``solve()`` computes V, counted as calls of
+    ``_policy_value`` from the solver loop and from the evaluations."""
+    calls = []
+    policy_value = soft_dp._policy_value
+
+    def counted(*args):
+        calls.append(None)
+        return policy_value(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(haspi, "_policy_value", counted)
+        patch.setattr(soft_dp, "_policy_value", counted)
+        solve()
+    return len(calls)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+@pytest.mark.parametrize("solver", ["haspi", "mehaml"])
+def test_a_trace_computes_its_values_once_per_flush(k, solver, monkeypatch):
+    """A timing-free guard on the trace's cost: the records' values V come in
+    one ``_policy_value`` call per flush, not one per record."""
+    _k, n_agents, n_states, counts, gamma, alpha = list(suite_params(k + 1))[k]
+    game = suite_game(k, n_agents, n_states, counts, gamma)
+    start = random_start(game, k)
+    traces = []
+
+    def solve(record_trace):
+        options = HaspiOptions(
+            alpha=alpha, max_outer_iters=300, permutation_rule=random_order(k),
+            record_trace=record_trace,
+        )
+        if solver == "haspi":
+            trace = haspi_solve(game, start, options)[2]
+        else:
+            trace = mehaml_solve(game, start, alpha, kl_drift(1.0), full_neighborhood(), options=options)[1]
+        traces.append(trace)
+
+    traced = policy_value_calls(monkeypatch, lambda: solve(True))
+    untraced = policy_value_calls(monkeypatch, lambda: solve(False))
+    records = len(traces[0].iterations)
+    assert traces[0].sweeps == traces[1].sweeps == records - 1
+    flushes = math.ceil(records / haspi._RESIDUAL_BATCH)
+    assert 0 < traced - untraced <= flushes < records
+
+
+@pytest.mark.parametrize("solver", ["haspi", "masac"])
+def test_records_of_members_that_leave_between_flushes(solver, monkeypatch):
+    """A batch's members leave between flushes, so a flush lays out iterates
+    with different members at different temperatures; every record still
+    holds the bits of soft_value, maxent_return and qre_residual of its
+    policy."""
+    k, n_agents, n_states, counts, gamma, _alpha = list(suite_params(4))[3]
+    game = suite_game(k, n_agents, n_states, counts, gamma)
+    alphas, caps = (0.1, 1.0, 5.0, 1.0), (7, 23, 41, 80)
+    options = [
+        HaspiOptions(alpha=a, tol_policy=1e-300, max_outer_iters=cap, permutation_rule=random_order(j))
+        for j, (a, cap) in enumerate(zip(alphas, caps))
+    ]
+    starts = [random_start(game, j) for j in range(len(options))]
+    flushes = []  # per flush, each pending iterate's members
+    flushed = haspi._flushed
+
+    def counted(game, iterates, *args):
+        flushes.append([tuple(it.active) for it in iterates])
+        return flushed(game, iterates, *args)
+
+    monkeypatch.setattr(haspi, "_flushed", counted)
+    solve_many = haspi.haspi_solve_many if solver == "haspi" else haspi.masac_solve_many
+    results = solve_many(game, starts, options)
+    # Some flush holds iterates before and after a member left.
+    assert any(len(set(members)) > 1 for members in flushes)
+    assert [len(trace.iterations) for _jp, _q, trace in results] == [cap + 1 for cap in caps]
+    for alpha, (_jp, _q, trace) in zip(alphas, results):
+        for rec in trace.iterations:
+            jp = joint_policy_from_rows(rec.policies)
+            q = evaluate_policy_exact(game, jp, alpha)
+            assert rec.values.tobytes() == soft_value(game, jp, q, alpha).values.tobytes()
+            assert repr(rec.maxent_return) == repr(maxent_return(game, jp, alpha))
+            assert repr(rec.qre_residual) == repr(qre_residual(game, jp, alpha))
 
 
 # The 4 x 4 x 10 shape of perfbench's large-joint workload: its pairwise chain
@@ -798,6 +909,37 @@ class TestBoundaryChecks:
         q = evaluate_policy_exact(self.game, jp, 1.0)
         with pytest.raises(ValueError, match="already appears in the updated prefix"):
             expected_conditional_q(self.game, q, jp, [jp.agents[1]], 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            lambda g, q, jp, prefix: expected_conditional_q(g, q, jp, prefix, 0, 1.0),
+            lambda g, q, jp, prefix: boltzmann_local_update(g, q, jp, prefix, 0, 1.0),
+            lambda g, q, jp, prefix: mehaml_local_update(
+                g, q, jp, prefix, 0, 1.0, kl_drift(1.0), full_neighborhood()
+            ),
+            lambda g, q, jp, prefix: mehaml_local_update(
+                g, q, jp, prefix, 0, 1.0, kl_drift(1.0), kl_ball(0.1), mode="line_search"
+            ),
+        ],
+        ids=["expected_conditional_q", "boltzmann_local_update", "mehaml-closed-form",
+             "mehaml-line-search"],
+    )
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (np.full((1, 2), 0.5), "agent 1 has 2 actions, game expects 3"),
+            (np.full((2, 3), 1 / 3), "all agents must share the same state count"),
+        ],
+        ids=["wrong action count", "wrong state count"],
+    )
+    def test_updated_prefix_tables_must_fit_the_game(
+        self, matrix_game, start_policy, update, table, message
+    ):
+        # The Appendix B game: 1 state, 3 actions per agent.
+        q = evaluate_policy_exact(matrix_game, start_policy, 1.0)
+        with pytest.raises(ValueError, match=message):
+            update(matrix_game, q, start_policy, [AgentPolicy(1, table)])
 
     @pytest.mark.parametrize("order", [(0,), (1, 0, 2)])
     def test_haspi_step_needs_a_permutation_of_every_agent(self, order):

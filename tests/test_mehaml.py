@@ -33,6 +33,7 @@ from maxent_marl.mehaml import (
     DRIFTS,
     NEIGHBORHOODS,
     DriftFunctional,
+    KlBall,
     KlDrift,
     NeighborhoodOperator,
     _kl_regularized_rows,
@@ -462,6 +463,50 @@ class TestDriftArguments:
         assert closed_form[0] > 0
         assert constructions("line_search", kl_ball(0.05), 4) == closed_form
         assert constructions("line_search", kl_ball(0.05), 12) == closed_form
+
+    def test_a_call_only_drift_builds_its_policies_once_per_agent_update(self, monkeypatch):
+        game, start, alpha = self._setup()
+        built = []
+        for cls in (AgentPolicy, JointPolicy):
+
+            def counting(self, cls=cls, post_init=cls.__post_init__):
+                built.append(cls)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        class CountingBall(KlBall):
+            """A KL ball that counts the backtracking steps, one test each."""
+
+            steps = []
+
+            def contains_rows(self, current_rows, candidate_rows):
+                self.steps.append(None)
+                return super().contains_rows(current_rows, candidate_rows)
+
+        def constructions(radius, sweeps):
+            """The policies a line search builds, and its backtracking steps."""
+            drift, hood = RecordingDrift(), CountingBall(radius)
+            hood.steps.clear()
+            options = HaspiOptions(
+                alpha=alpha, tol_policy=1e-300, max_outer_iters=sweeps,
+                permutation_rule=fixed_order((2, 0, 1)),
+            )
+            built.clear()
+            _p, trace = mehaml_solve(
+                game, start, alpha, drift, hood, options=options, mode="line_search"
+            )
+            assert trace.sweeps == sweeps
+            return built.count(AgentPolicy), built.count(JointPolicy), len(hood.steps)
+
+        # Per agent update: the old joint policy (3 agents) and the updated
+        # prefix (0, 1 and 2 agents along the ordering); then the result's
+        # 3 agents and its joint policy.
+        for sweeps in (4, 16):
+            wide, narrow = constructions(10.0, sweeps), constructions(0.001, sweeps)
+            assert wide[:2] == narrow[:2] == (sweeps * (3 * 3 + 0 + 1 + 2) + 3, sweeps * 3 + 1)
+            # The narrow ball takes more steps per agent update.
+            assert narrow[2] > wide[2] >= sweeps * 3
 
 
 class TestMehamlSolve:

@@ -124,3 +124,24 @@ def test_returns_are_held_to_a_relative_bound(tmp_path):
         "breach: seed 0 suite game 1 haspi: counts [12, 13] became [12, 14]",
         "breach: seed 0 suite game 1 haspi: J 2.0 became 2.00000000001",
     ]
+
+
+# ``tools/trace_cost.py`` on the first few suite games.
+_TRACE_COST = Path(__file__).resolve().parent.parent / "tools" / "trace_cost.py"
+
+
+def test_trace_cost_reports_both_settings_of_both_solvers():
+    result = subprocess.run(
+        [sys.executable, str(_TRACE_COST), "--games", "3", "--rounds", "2"],
+        capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("3 suite games, 2 rounds, maxent_marl from ")
+    report = json.loads(lines[-1])
+    assert sorted(report) == ["haspi", "mehaml"]
+    for row in report.values():
+        assert sorted(row) == ["ratio", "traced_s", "untraced_s"]
+        for q1, median, q3 in row.values():
+            assert 0 < q1 <= median <= q3
+    assert len(lines) == 1 + 2 * 3 + 1
